@@ -7,6 +7,7 @@
 #include "crypto/xmss.hpp"
 #include "rpki/objects.hpp"
 #include "util/errors.hpp"
+#include "util/kvline.hpp"
 
 namespace rpkic::adversary {
 
@@ -35,45 +36,10 @@ FetchOutcome fetchOutcomeFromString(std::string_view s) {
     throw ParseError("unknown probe outcome in oracle: " + std::string(s));
 }
 
-std::uint64_t parseU64(std::string_view value, const char* field) {
-    std::uint64_t out = 0;
-    std::size_t i = 0;
-    for (; i < value.size(); ++i) {
-        const char c = value[i];
-        if (c < '0' || c > '9') break;
-        out = out * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (i == 0 || i != value.size()) {
-        throw ParseError(std::string("bad numeric value for '") + field + "' in oracle");
-    }
-    return out;
-}
-
 bool parseYesNo(std::string_view value, const char* field) {
     if (value == "yes") return true;
     if (value == "no") return false;
     throw ParseError(std::string("bad yes/no value for '") + field + "' in oracle");
-}
-
-std::pair<std::string_view, std::string_view> splitKv(std::string_view token) {
-    const auto eq = token.find('=');
-    if (eq == std::string_view::npos) {
-        throw ParseError("oracle token is not key=value: " + std::string(token));
-    }
-    return {token.substr(0, eq), token.substr(eq + 1)};
-}
-
-std::vector<std::string_view> tokenize(std::string_view line) {
-    std::vector<std::string_view> tokens;
-    std::size_t t = 0;
-    while (t < line.size()) {
-        while (t < line.size() && line[t] == ' ') ++t;
-        std::size_t e = t;
-        while (e < line.size() && line[e] != ' ') ++e;
-        if (e > t) tokens.push_back(line.substr(t, e - t));
-        t = e;
-    }
-    return tokens;
 }
 
 }  // namespace
@@ -111,23 +77,14 @@ std::string PackOracle::serialize() const {
 PackOracle PackOracle::parse(std::string_view text) {
     PackOracle oracle;
     bool sawHeader = false;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const auto nl = text.find('\n', pos);
-        std::string_view line =
-            text.substr(pos, nl == std::string_view::npos ? text.size() - pos : nl - pos);
-        pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-
-        const auto tokens = tokenize(line);
-        if (tokens.empty() || tokens.front().starts_with('#')) continue;
-
+    kv::forEachTokenLine(text, [&](const std::vector<std::string_view>& tokens,
+                                   std::string_view line) {
         if (tokens.front() == "oracle") {
             if (sawHeader) throw ParseError("duplicate oracle header");
             if (tokens.size() < 2 || tokens[1] != "v1") {
                 throw ParseError("unsupported oracle version");
             }
-            for (std::size_t i = 2; i < tokens.size(); ++i) {
-                const auto [key, value] = splitKv(tokens[i]);
+            for (const auto& [key, value] : kv::keyValues(tokens, 2, "oracle")) {
                 if (key == "pack") {
                     oracle.pack = std::string(value);
                 } else if (key == "quarantine") {
@@ -137,33 +94,30 @@ PackOracle PackOracle::parse(std::string_view text) {
                 }
             }
             sawHeader = true;
-            continue;
+            return;
         }
         if (!sawHeader) throw ParseError("oracle line before header");
 
         if (tokens.front() == "attribution") {
-            for (std::size_t i = 1; i < tokens.size(); ++i) {
-                const auto [key, value] = splitKv(tokens[i]);
+            for (const auto& [key, value] : kv::keyValues(tokens, 1, "oracle")) {
                 if (key != "class") throw ParseError("bad attribution field");
                 oracle.expectAttribution = true;
                 oracle.attribution = fleet::memberFaultClassFromString(value);
             }
         } else if (tokens.front() == "verdict-allow") {
-            for (std::size_t i = 1; i < tokens.size(); ++i) {
-                const auto [key, value] = splitKv(tokens[i]);
+            for (const auto& [key, value] : kv::keyValues(tokens, 1, "oracle")) {
                 if (key != "class") throw ParseError("bad verdict-allow field");
                 oracle.toleratedVerdicts.push_back(fleet::memberFaultClassFromString(value));
             }
         } else if (tokens.front() == "require") {
             AlarmExpectation e;
-            for (std::size_t i = 1; i < tokens.size(); ++i) {
-                const auto [key, value] = splitKv(tokens[i]);
+            for (const auto& [key, value] : kv::keyValues(tokens, 1, "oracle")) {
                 if (key == "class") {
                     e.type = alarmTypeFromString(value);
                 } else if (key == "accountable") {
                     e.accountable = parseYesNo(value, "accountable");
                 } else if (key == "min") {
-                    e.minCount = parseU64(value, "min");
+                    e.minCount = kv::parseU64(value, "min");
                 } else if (key == "victim") {
                     e.victimContains = std::string(value);
                 } else if (key == "perpetrator") {
@@ -175,8 +129,7 @@ PackOracle PackOracle::parse(std::string_view text) {
             oracle.requiredAlarms.push_back(std::move(e));
         } else if (tokens.front() == "allow") {
             ToleratedAlarm t;
-            for (std::size_t i = 1; i < tokens.size(); ++i) {
-                const auto [key, value] = splitKv(tokens[i]);
+            for (const auto& [key, value] : kv::keyValues(tokens, 1, "oracle")) {
                 if (key == "class") {
                     t.type = alarmTypeFromString(value);
                 } else if (key == "accountable") {
@@ -188,12 +141,11 @@ PackOracle PackOracle::parse(std::string_view text) {
             oracle.toleratedAlarms.push_back(t);
         } else if (tokens.front() == "reject") {
             RejectionExpectation r;
-            for (std::size_t i = 1; i < tokens.size(); ++i) {
-                const auto [key, value] = splitKv(tokens[i]);
+            for (const auto& [key, value] : kv::keyValues(tokens, 1, "oracle")) {
                 if (key == "outcome") {
                     r.outcome = fetchOutcomeFromString(value);
                 } else if (key == "min") {
-                    r.minCount = parseU64(value, "min");
+                    r.minCount = kv::parseU64(value, "min");
                 } else {
                     throw ParseError("unknown reject field: " + std::string(key));
                 }
@@ -202,7 +154,7 @@ PackOracle PackOracle::parse(std::string_view text) {
         } else {
             throw ParseError("unexpected oracle line: " + std::string(line));
         }
-    }
+    });
     if (!sawHeader) throw ParseError("missing oracle header");
     return oracle;
 }

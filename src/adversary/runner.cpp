@@ -4,11 +4,10 @@
 #include <optional>
 #include <sstream>
 
-#include "crypto/sha256.hpp"
 #include "fleet/consensus.hpp"
 #include "fleet/vote.hpp"
-#include "rp/relying_party.hpp"
-#include "rp/sync_engine.hpp"
+#include "sim/rp_process.hpp"
+#include "sim/run_context.hpp"
 #include "util/errors.hpp"
 
 namespace rpkic::adversary {
@@ -19,38 +18,11 @@ using consent::Authority;
 using consent::AuthorityDirectory;
 using fleet::MemberFaultClass;
 using rp::RelyingParty;
-using rp::RpOptions;
 using rp::SyncEngine;
 using rp::SyncPolicy;
 
 IpPrefix pfx(const std::string& s) {
     return IpPrefix::parse(s);
-}
-
-/// One member's vote: digest over the canonical valid-ROA listing plus the
-/// manifest claims. Both members are hashed by the same function, so two
-/// honest relying parties over one feed always share an identity.
-fleet::VrpVote buildVote(const RelyingParty& rp, std::uint32_t member, std::uint64_t epoch) {
-    fleet::VrpVote v;
-    v.member = member;
-    v.epoch = epoch;
-    std::vector<std::string> lines;
-    for (const Roa& r : rp.validRoas()) {
-        lines.push_back(r.uri + "|" + std::to_string(r.serial) + "|" + std::to_string(r.asn));
-    }
-    std::sort(lines.begin(), lines.end());
-    std::string canon;
-    for (const std::string& l : lines) {
-        canon += l;
-        canon += '\n';
-    }
-    v.vrpHash = sha256(canon);
-    v.vrpCount = lines.size();
-    for (const rp::ManifestClaim& c : rp.exportManifestClaims()) {
-        v.claims.push_back(fleet::VoteClaim{c.pointUri, c.number, c.bodyHash});
-    }
-    std::sort(v.claims.begin(), v.claims.end());
-    return v;
 }
 
 PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
@@ -65,15 +37,10 @@ PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
         replay != nullptr ? static_cast<std::uint32_t>(replay->rounds) : cfg.rounds;
     const std::uint32_t retryBudget = replay != nullptr ? replay->retryBudget : cfg.retryBudget;
 
-    // Run-local observability unless the caller wants the exposition (same
-    // contract as the soak: repeated runs start from zero).
-    obs::Registry localRegistry;
-    obs::Registry* registry = cfg.registry != nullptr ? cfg.registry : &localRegistry;
-    obs::FlightRecorder localRecorder;
-    obs::FlightRecorder* recorder = cfg.recorder != nullptr ? cfg.recorder : &localRecorder;
-    if (cfg.recorder == nullptr) localRecorder.attachMetrics(registry);
-    obs::FlightScope runScope(recorder, "adversary",
-                              "pack=" + packName + " seed=" + std::to_string(result.seed));
+    sim::RunContext ctx("adversary", result.seed, cfg.registry, cfg.recorder, nullptr,
+                        "pack=" + packName + " seed=" + std::to_string(result.seed));
+    obs::Registry* registry = ctx.registry();
+    obs::FlightRecorder* recorder = ctx.recorder();
 
     const obs::Labels packLabel = {{"pack", packName}};
     obs::Counter& mRuns = registry->counter("rc_adversary_runs_total",
@@ -126,18 +93,27 @@ PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
     }
     ChaosSource chaos(honest, std::move(header));
 
-    const RpOptions chaoticOptions{
-        .ts = 4, .tg = 8, .checkIntermediateStates = !cfg.disableDetection};
-    const RpOptions twinOptions{.ts = 4, .tg = 8, .checkIntermediateStates = true};
-    RelyingParty chaotic("chaotic", {rir.cert()}, chaoticOptions, registry);
-    chaotic.attachAlarmRecorder(recorder);
-    RelyingParty twin("twin", {rir.cert()}, twinOptions, registry);
-    twin.attachAlarmRecorder(recorder);
-
     SyncPolicy policy;
     policy.maxAttempts = retryBudget + 1;
-    SyncEngine engine(chaotic, chaos, policy, registry);
-    SyncEngine twinEngine(twin, honest, policy, registry);
+    const sim::RpProcessConfig twinConfig{
+        .name = "twin",
+        .trustAnchors = {rir.cert()},
+        .options = {.ts = 4, .tg = 8, .checkIntermediateStates = true},
+        .policy = policy,
+        .registry = registry,
+        .recorder = recorder,
+        .stateVfs = nullptr,
+        .stateDir = {},
+        .storeOptions = {}};
+    sim::RpProcessConfig chaoticConfig = twinConfig;
+    chaoticConfig.name = "chaotic";
+    chaoticConfig.options.checkIntermediateStates = !cfg.disableDetection;
+    sim::RpProcess chaoticProc(chaoticConfig, chaos);
+    sim::RpProcess twinProc(twinConfig, honest);
+    RelyingParty& chaotic = chaoticProc.rp();
+    RelyingParty& twin = twinProc.rp();
+    SyncEngine& engine = chaoticProc.engine();
+    SyncEngine& twinEngine = twinProc.engine();
 
     // Three-member mini-fleet: the chaotic member (0) against two honest
     // votes (the twin voting as members 1 and 2) with quorum 2 — the
@@ -225,8 +201,8 @@ PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
         }
 
         // --- mini-fleet consensus: who does the quorum blame? ---
-        const fleet::VrpVote chaoticVote = buildVote(chaotic, 0, r);
-        fleet::VrpVote honest1 = buildVote(twin, 1, r);
+        const fleet::VrpVote chaoticVote = fleet::buildVote(chaotic, chaotic.roaState(), 0, r);
+        fleet::VrpVote honest1 = fleet::buildVote(twin, twin.roaState(), 1, r);
         fleet::VrpVote honest2 = honest1;
         honest2.member = 2;
         const fleet::EpochDecision decision = tracker.decide(r, {chaoticVote, honest1, honest2});
@@ -311,16 +287,12 @@ PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
     result.transcript = transcript.str();
 
     if (!result.passed) {
-        obs::CapturedBundle bundle;
-        bundle.trigger = "oracle-diff";
-        bundle.label = "pack-" + packName + "-seed-" + std::to_string(result.seed);
-        bundle.bytes = obs::buildPostmortem(
-            *recorder, registry, bundle.trigger,
-            {{"pack", packName},
-             {"seed", std::to_string(result.seed)},
-             {"missing", std::to_string(result.diff.missing.size())},
-             {"spurious", std::to_string(result.diff.spurious.size())}});
-        result.postmortems.push_back(std::move(bundle));
+        ctx.capture("oracle-diff", "pack-" + packName + "-seed-" + std::to_string(result.seed),
+                    {{"pack", packName},
+                     {"seed", std::to_string(result.seed)},
+                     {"missing", std::to_string(result.diff.missing.size())},
+                     {"spurious", std::to_string(result.diff.spurious.size())}});
+        result.postmortems = std::move(ctx.postmortems);
     }
     return result;
 }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "fleet/textutil.hpp"
+#include "util/kvline.hpp"
 #include "util/errors.hpp"
 
 namespace rpkic::fleet {
@@ -56,7 +56,7 @@ ConsensusOutcome consensusOutcomeFromString(std::string_view s) {
 }
 
 std::string MemberVerdict::str(std::uint64_t epoch) const {
-    detail::requireTranscriptSafe(detail.empty() ? "-" : detail, "verdict detail");
+    kv::requireTokenSafe(detail.empty() ? "-" : detail, "verdict detail");
     return "verdict epoch=" + std::to_string(epoch) + " member=" + std::to_string(member) +
            " class=" + std::string(toString(cls)) + " table7=" + std::string(rp::toString(table7)) +
            " accountable=" + (accountable ? "true" : "false") +
@@ -65,11 +65,11 @@ std::string MemberVerdict::str(std::uint64_t epoch) const {
 
 MemberVerdict MemberVerdict::parseLine(std::string_view line, std::uint64_t* epochOut) {
     MemberVerdict v;
-    for (const auto& [key, value] : detail::keyValueTokens(line, "verdict")) {
+    for (const auto& [key, value] : kv::keyValueTokens(line, "verdict")) {
         if (key == "epoch") {
-            if (epochOut != nullptr) *epochOut = detail::parseU64(value, "epoch");
+            if (epochOut != nullptr) *epochOut = kv::parseU64(value, "epoch");
         } else if (key == "member") {
-            v.member = static_cast<std::uint32_t>(detail::parseU64(value, "member"));
+            v.member = kv::parseU32(value, "member");
         } else if (key == "class") {
             v.cls = memberFaultClassFromString(value);
         } else if (key == "table7") {
@@ -78,7 +78,7 @@ MemberVerdict MemberVerdict::parseLine(std::string_view line, std::uint64_t* epo
             if (value != "true" && value != "false") throw ParseError("bad accountable flag");
             v.accountable = value == "true";
         } else if (key == "detail") {
-            if (value != "-") detail::requireParsedTokenSafe(value, "verdict detail");
+            if (value != "-") kv::requireParsedTokenSafe(value, "verdict detail");
             v.detail = value == "-" ? std::string() : std::string(value);
         } else {
             throw ParseError("verdict line has unknown key: " + std::string(key));
@@ -105,21 +105,21 @@ std::string EpochDecision::str() const {
 
 EpochDecision EpochDecision::parseDecisionLine(std::string_view line) {
     EpochDecision d;
-    for (const auto& [key, value] : detail::keyValueTokens(line, "decision")) {
+    for (const auto& [key, value] : kv::keyValueTokens(line, "decision")) {
         if (key == "epoch") {
-            d.epoch = detail::parseU64(value, "epoch");
+            d.epoch = kv::parseU64(value, "epoch");
         } else if (key == "outcome") {
             d.outcome = consensusOutcomeFromString(value);
         } else if (key == "hash") {
             d.winningHash = Digest::fromHex(value);
         } else if (key == "agree") {
-            d.agreeing = static_cast<std::uint32_t>(detail::parseU64(value, "agree"));
+            d.agreeing = kv::parseU32(value, "agree");
         } else if (key == "votes") {
-            d.votesSeen = static_cast<std::uint32_t>(detail::parseU64(value, "votes"));
+            d.votesSeen = kv::parseU32(value, "votes");
         } else if (key == "winners") {
             if (value == "-") continue;
-            for (std::string_view item : detail::splitList(value, ',')) {
-                d.winners.push_back(static_cast<std::uint32_t>(detail::parseU64(item, "winner")));
+            for (std::string_view item : kv::splitList(value, ',')) {
+                d.winners.push_back(kv::parseU32(item, "winner"));
             }
         } else {
             throw ParseError("decision line has unknown key: " + std::string(key));

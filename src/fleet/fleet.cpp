@@ -6,23 +6,16 @@
 #include <optional>
 #include <set>
 
-#include "crypto/sha256.hpp"
-#include "detector/state_io.hpp"
-#include "fleet/textutil.hpp"
-#include "rp/durable_store.hpp"
-#include "rp/relying_party.hpp"
-#include "rp/sync_engine.hpp"
 #include "rpki/chaos.hpp"
 #include "sim/driver.hpp"
+#include "sim/rp_process.hpp"
+#include "sim/run_context.hpp"
 #include "util/errors.hpp"
+#include "util/kvline.hpp"
 #include "util/vfs.hpp"
 
 namespace rpkic::fleet {
 
-using rp::DurableStore;
-using rp::RelyingParty;
-using rp::RpOptions;
-using rp::SyncEngine;
 using rp::SyncPolicy;
 
 // ===========================================================================
@@ -57,22 +50,22 @@ std::string MemberFaultSpec::str() const {
 }
 
 MemberFaultSpec MemberFaultSpec::parse(std::string_view spec) {
-    const auto parts = detail::splitList(spec, ':');
+    const auto parts = kv::splitList(spec, ':');
     if (parts.size() < 2 || parts.size() > 4) {
         throw ParseError("member fault spec is not member:kind[:from[:len]]: " + std::string(spec));
     }
     MemberFaultSpec s;
-    s.member = static_cast<std::uint32_t>(detail::parseU64(parts[0], "member"));
+    s.member = kv::parseU32(parts[0], "member");
     s.cls = faultSpecClassFromToken(parts[1]);
-    if (parts.size() >= 3) s.fromEpoch = detail::parseU64(parts[2], "from-epoch");
-    if (parts.size() == 4) s.epochs = static_cast<std::uint32_t>(detail::parseU64(parts[3], "len"));
+    if (parts.size() >= 3) s.fromEpoch = kv::parseU64(parts[2], "from-epoch");
+    if (parts.size() == 4) s.epochs = kv::parseU32(parts[3], "len");
     return s;
 }
 
 std::vector<MemberFaultSpec> MemberFaultSpec::parseSet(std::string_view set) {
     std::vector<MemberFaultSpec> out;
     if (set.empty()) return out;
-    for (std::string_view item : detail::splitList(set, ',')) out.push_back(parse(item));
+    for (std::string_view item : kv::splitList(set, ',')) out.push_back(parse(item));
     return out;
 }
 
@@ -81,8 +74,8 @@ std::vector<MemberFaultSpec> MemberFaultSpec::parseSet(std::string_view set) {
 
 namespace {
 
-/// One fleet member's whole stack. Heap-held so RelyingParty/SyncEngine
-/// references stay stable.
+/// One fleet member's whole stack. Heap-held so the process's references
+/// stay stable.
 struct Member {
     std::uint32_t index = 0;
     std::uint64_t subSeed = 0;
@@ -90,39 +83,21 @@ struct Member {
     bool hasSpec = false;
 
     std::optional<vfs::MemVfs> vfs;
-    std::optional<DurableStore> store;
     /// Parallel-phase flight events (store commits, alarms) land here and
     /// are drained into the run recorder in member order afterwards.
     obs::FlightRecorder recorder;
     std::unique_ptr<ChaosSource> chaos;       // stalled members only
     std::set<std::string> stalledCovered;     // points already given a pin fault
-    std::optional<RelyingParty> rp;
-    std::optional<SyncEngine> engine;
-    bool alive = true;
+    std::optional<sim::RpProcess> proc;
     bool crashArmed = false;
 
     // Per-epoch outputs of the parallel sync phase.
     std::optional<VrpVote> vote;
-    std::string stateText;
     RpkiState state;
     std::string failure;  // non-fault exception text, reported as a violation
 
     std::string name() const { return "member-" + std::to_string(index); }
 };
-
-VrpVote buildVote(const RelyingParty& rp, std::uint32_t member, std::uint64_t epoch,
-                  const RpkiState& state, const std::string& stateText) {
-    VrpVote v;
-    v.member = member;
-    v.epoch = epoch;
-    v.vrpHash = sha256(stateText);
-    v.vrpCount = state.size();
-    for (const rp::ManifestClaim& c : rp.exportManifestClaims()) {
-        v.claims.push_back(VoteClaim{c.pointUri, c.number, c.bodyHash});
-    }
-    std::sort(v.claims.begin(), v.claims.end());
-    return v;
-}
 
 }  // namespace
 
@@ -151,27 +126,14 @@ FleetResult runFleet(const FleetConfig& cfg) {
     result.transcript.quorum = cfg.quorum;
     result.transcript.epochs = cfg.epochs;
 
-    std::optional<obs::Registry> ownedRegistry;
-    obs::Registry* registry = cfg.registry;
-    if (registry == nullptr) {
-        ownedRegistry.emplace();
-        registry = &*ownedRegistry;
-    }
+    sim::RunContext ctx("fleet", cfg.seed, cfg.registry, cfg.recorder, cfg.status);
+    obs::Registry* registry = ctx.registry();
+    obs::FlightRecorder* recorder = ctx.recorder();
     rc::parallel::Pool& pool = cfg.pool != nullptr ? *cfg.pool : rc::parallel::defaultPool();
-
-    obs::FlightRecorder localRecorder;
-    obs::FlightRecorder* recorder = cfg.recorder != nullptr ? cfg.recorder : &localRecorder;
-    if (cfg.recorder == nullptr) localRecorder.attachMetrics(registry);
-    obs::FlightScope fleetScope(recorder, "fleet", "run seed=" + std::to_string(cfg.seed));
-
-    const std::string statusPrefix = "fleet/seed-" + std::to_string(cfg.seed) + "/";
-    const auto publish = [&](const std::string& key, const std::string& value) {
-        if (cfg.status != nullptr) cfg.status->set(statusPrefix + key, value);
-    };
-    publish("members", std::to_string(cfg.members));
-    publish("quorum", std::to_string(cfg.quorum));
-    publish("epochs-total", std::to_string(cfg.epochs));
-    publish("state", "running");
+    ctx.publish("members", std::to_string(cfg.members));
+    ctx.publish("quorum", std::to_string(cfg.quorum));
+    ctx.publish("epochs-total", std::to_string(cfg.epochs));
+    ctx.publish("state", "running");
 
     // --- instruments ---------------------------------------------------------
     obs::Gauge& gMembers = registry->gauge("rc_fleet_members", "Configured fleet size");
@@ -212,8 +174,9 @@ FleetResult runFleet(const FleetConfig& cfg) {
                                              "Members masked out of the last quorum epoch");
     obs::Gauge& gOutputRoas = registry->gauge("rc_fleet_consensus_roas",
                                               "VRP count of the last consensus output");
-    obs::Histogram& hEpoch = registry->histogram("rc_fleet_epoch_seconds",
-                                                 "Wall time per fleet epoch");
+    // Only RC_OBS_TIMED reads it, which RC_OBSERVABILITY=OFF compiles out.
+    [[maybe_unused]] obs::Histogram& hEpoch =
+        registry->histogram("rc_fleet_epoch_seconds", "Wall time per fleet epoch");
     // Every member's vote counter is registered up front: a member that
     // never votes (e.g. crashed at epoch 0) must still surface an explicit
     // zero series in the exposition, not a silently missing one.
@@ -252,9 +215,21 @@ FleetResult runFleet(const FleetConfig& cfg) {
     }
     RepositorySource honestSource(driver.repo());
 
-    const RpOptions rpOptions{.ts = 4, .tg = 8, .checkIntermediateStates = true};
     SyncPolicy policy;
     policy.maxAttempts = cfg.retryBudget + 1;
+    // The twin syncs on the main thread after the parallel phase, so its
+    // alarms can go straight into the run recorder. Members differ in
+    // name, recorder and store.
+    const sim::RpProcessConfig twinConfig{
+        .name = "twin",
+        .trustAnchors = driver.trustAnchors(),
+        .options = {.ts = 4, .tg = 8, .checkIntermediateStates = true},
+        .policy = policy,
+        .registry = registry,
+        .recorder = recorder,
+        .stateVfs = nullptr,
+        .stateDir = {},
+        .storeOptions = {}};
 
     // --- members -------------------------------------------------------------
     std::vector<std::unique_ptr<Member>> fleet;
@@ -269,10 +244,6 @@ FleetResult runFleet(const FleetConfig& cfg) {
             }
         }
         m->vfs.emplace(m->subSeed);
-        m->store.emplace(*m->vfs, m->name() + "-state",
-                         rp::StoreOptions{.checkpointEvery = 8, .name = m->name()}, registry);
-        m->store->open();
-        m->store->attachRecorder(&m->recorder);
         if (m->hasSpec && m->spec.cls == MemberFaultClass::Stalled) {
             FaultPlan plan;
             plan.seed = m->subSeed;
@@ -281,23 +252,21 @@ FleetResult runFleet(const FleetConfig& cfg) {
             plan.stallHorizon = cfg.epochs + 2;  // pins must outlive the run
             m->chaos = std::make_unique<ChaosSource>(honestSource, std::move(plan));
         }
-        m->rp.emplace(m->name(), driver.trustAnchors(), rpOptions, registry);
-        m->rp->attachAlarmRecorder(&m->recorder);
         SnapshotSource* source = &honestSource;
         if (m->chaos != nullptr) source = m->chaos.get();
         if (m->hasSpec && m->spec.cls == MemberFaultClass::MirrorFed && m->spec.fromEpoch == 0) {
             source = &*mirrorSource;
         }
-        m->engine.emplace(*m->rp, *source, policy, registry);
-        m->engine->attachStore(&*m->store);
+        sim::RpProcessConfig config = twinConfig;
+        config.name = m->name();
+        config.recorder = &m->recorder;
+        config.stateVfs = &*m->vfs;
+        config.stateDir = m->name() + "-state";
+        config.storeOptions = {.checkpointEvery = 8, .name = m->name()};
+        m->proc.emplace(std::move(config), *source);
         fleet.push_back(std::move(m));
     }
-
-    RelyingParty twin("twin", driver.trustAnchors(), rpOptions, registry);
-    // The twin syncs on the main thread after the parallel phase, so its
-    // alarms can go straight into the run recorder.
-    twin.attachAlarmRecorder(recorder);
-    SyncEngine twinEngine(twin, honestSource, policy, registry);
+    sim::RpProcess twin(twinConfig, honestSource);
 
     MessageBus bus(cfg.members + 1);  // members + the aggregator
     const std::uint32_t aggregatorId = cfg.members;
@@ -314,29 +283,14 @@ FleetResult runFleet(const FleetConfig& cfg) {
     std::set<std::uint32_t> attributedMatching;  // specs attributed with the right class
     std::optional<RpkiState> lastOutput;
 
-    constexpr std::size_t kMaxBundles = 8;
-    const auto recordViolation = [&](const std::string& what) {
-        result.violations.push_back(what);
-        obs::flightRecord(recorder, obs::FlightKind::InvariantFail, "fleet", what);
-        if (result.postmortems.size() < kMaxBundles) {
-            obs::CapturedBundle bundle;
-            bundle.trigger = "invariant-fail";
-            bundle.label = "seed-" + std::to_string(cfg.seed) + "-violation-" +
-                           std::to_string(result.violations.size());
-            bundle.bytes = obs::buildPostmortem(*recorder, registry, bundle.trigger,
-                                                {{"seed", std::to_string(cfg.seed)},
-                                                 {"violation", what}});
-            result.postmortems.push_back(std::move(bundle));
-        }
-    };
     const auto violation = [&](std::uint64_t epoch, const std::string& what) {
-        recordViolation("epoch " + std::to_string(epoch) + ": " + what);
+        ctx.violation("epoch " + std::to_string(epoch) + ": " + what);
     };
 
     for (std::uint64_t r = 0; r < cfg.epochs; ++r) {
         RC_OBS_TIMED(&hEpoch);
         obs::FlightScope epochScope(recorder, "fleet", "epoch e=" + std::to_string(r));
-        publish("epoch", std::to_string(r));
+        ctx.publish("epoch", std::to_string(r));
         const Time now = static_cast<Time>(r);
         if (r > 0) {
             driver.step(now);
@@ -358,52 +312,27 @@ FleetResult runFleet(const FleetConfig& cfg) {
         for (auto& mp : fleet) {
             Member& m = *mp;
             m.vote.reset();
-            m.stateText.clear();
             m.state = RpkiState();
             m.failure.clear();
             if (!m.hasSpec) continue;
 
             if (m.spec.cls == MemberFaultClass::Crashed) {
-                if (r == m.spec.fromEpoch && m.alive) {
+                if (r == m.spec.fromEpoch && m.proc->alive()) {
                     // Arm a kill inside this epoch's commit path; if the
                     // draw lands past it, the boundary kill below finishes
                     // the job. Either way the member casts no vote.
                     m.vfs->armCrashAt(m.vfs->opCount() + 1 + crashRng.nextBelow(12));
                     m.crashArmed = true;
-                } else if (!m.alive && m.spec.epochs != MemberFaultSpec::kToEnd &&
+                } else if (!m.proc->alive() && m.spec.epochs != MemberFaultSpec::kToEnd &&
                            r == m.spec.fromEpoch + m.spec.epochs) {
-                    // Rejoin: recover the durable state, prove it is a real
-                    // committed state (the soak's I8), rebuild the engine at
-                    // the current epoch, and re-seed the regression floor.
-                    const auto rec = m.store->open();
-                    (void)rec;
-                    if (m.store->latest().has_value()) {
-                        const Bytes& blob = *m.store->latest();
-                        try {
-                            m.rp.emplace(RelyingParty::deserializeState(
-                                ByteView(blob.data(), blob.size()), /*allowLegacy=*/false,
-                                registry));
-                        } catch (const std::exception& e) {
-                            violation(r, m.name() + " recovered payload does not deserialize: " +
-                                             e.what());
-                            continue;
-                        }
-                        if (!(m.rp->serializeState() == blob)) {
-                            violation(r, m.name() +
-                                             " recovered state does not re-serialize identically");
-                            continue;
-                        }
-                    } else {
-                        m.rp.emplace(m.name(), driver.trustAnchors(), rpOptions, registry);
+                    // Rejoin: recover the durable state (the soak's I8) and
+                    // restart at the current epoch.
+                    m.proc->reopenStore();
+                    const std::string failure = m.proc->restart(r);
+                    if (!failure.empty()) {
+                        violation(r, m.name() + " " + failure);
+                        continue;
                     }
-                    m.rp->attachAlarmRecorder(&m.recorder);
-                    m.engine.emplace(*m.rp, honestSource, policy, registry);
-                    m.engine->attachStore(&*m.store);
-                    m.engine->resumeAt(r);
-                    for (const auto& claim : m.rp->exportManifestClaims()) {
-                        m.engine->seedRegressionFloor(claim.pointUri, claim.number);
-                    }
-                    m.alive = true;
                     result.stats.restarts += 1;
                     cRestarts.inc();
                 }
@@ -434,35 +363,27 @@ FleetResult runFleet(const FleetConfig& cfg) {
                 // Re-home the member's fetch path onto the mirror world
                 // (its relying party and durable state carry over — only
                 // the feed is hijacked).
-                m.engine.emplace(*m.rp, *mirrorSource, policy, registry);
-                m.engine->attachStore(&*m.store);
-                m.engine->resumeAt(r);
-                for (const auto& claim : m.rp->exportManifestClaims()) {
-                    m.engine->seedRegressionFloor(claim.pointUri, claim.number);
-                }
+                m.proc->rehome(*mirrorSource, r);
             }
         }
 
         // --- parallel sync phase --------------------------------------------
         pool.parallelFor(fleet.size(), [&](std::size_t i) {
             Member& m = *fleet[i];
-            if (!m.alive) return;
+            if (!m.proc->alive()) return;
             try {
-                m.engine->syncRound(now);
+                m.proc->engine().syncRound(now);
             } catch (const vfs::CrashInjected&) {
                 // The member "process" died mid-commit. Its vote for this
                 // epoch dies with it; recovery happens at rejoin.
-                m.alive = false;
-                m.engine.reset();
-                m.rp.reset();
+                m.proc->kill();
                 return;
             } catch (const std::exception& e) {
                 m.failure = e.what();
                 return;
             }
-            m.state = m.rp->roaState();
-            m.stateText = stateToText(m.state);
-            m.vote = buildVote(*m.rp, m.index, r, m.state, m.stateText);
+            m.state = m.proc->rp().roaState();
+            m.vote = buildVote(m.proc->rp(), m.state, m.index, r);
         });
         // Reassemble the parallel phase's flight events in member order:
         // the run recorder's stream is then byte-identical at every pool
@@ -472,9 +393,8 @@ FleetResult runFleet(const FleetConfig& cfg) {
                 recorder->record(ev.kind, ev.component, ev.detail);
             }
         }
-        twinEngine.syncRound(now);
-        const RpkiState twinState = twin.roaState();
-        const std::string twinText = stateToText(twinState);
+        twin.engine().syncRound(now);
+        const RpkiState twinState = twin.rp().roaState();
 
         // --- sequential post-sync phase: lifecycle bookkeeping --------------
         for (auto& mp : fleet) {
@@ -483,13 +403,11 @@ FleetResult runFleet(const FleetConfig& cfg) {
                 violation(r, m.name() + " sync failed: " + m.failure);
             }
             if (m.crashArmed) {
-                if (m.alive) {
+                if (m.proc->alive()) {
                     // The armed crash point fell past this epoch's commits:
                     // kill at the boundary instead (same observable: no
                     // vote, recovery from the store at rejoin).
-                    m.alive = false;
-                    m.engine.reset();
-                    m.rp.reset();
+                    m.proc->kill();
                     m.vote.reset();
                     m.vfs->armCrashAt(UINT64_MAX);
                 }
@@ -500,12 +418,10 @@ FleetResult runFleet(const FleetConfig& cfg) {
                                   m.name() + " epoch=" + std::to_string(r));
             }
         }
-        if (cfg.status != nullptr) {
-            for (auto& mp : fleet) {
-                Member& m = *mp;
-                publish(m.name() + "/alive", m.alive ? "yes" : "no");
-                publish(m.name() + "/store-lsn", std::to_string(m.store->latestLsn()));
-            }
+        for (auto& mp : fleet) {
+            Member& m = *mp;
+            ctx.publish(m.name() + "/alive", m.proc->alive() ? "yes" : "no");
+            ctx.publish(m.name() + "/store-lsn", std::to_string(m.proc->store()->latestLsn()));
         }
 
         // --- vote exchange ---------------------------------------------------
@@ -588,7 +504,7 @@ FleetResult runFleet(const FleetConfig& cfg) {
                                   : row.decision.outcome == ConsensusOutcome::Quorum
                                       ? "quorum"
                                       : "no-quorum";
-        publish("outcome", outcomeText);
+        ctx.publish("outcome", outcomeText);
         obs::flightRecord(recorder, obs::FlightKind::FleetVerdict, "fleet",
                           "epoch=" + std::to_string(r) + " outcome=" + outcomeText +
                               " agreeing=" + std::to_string(row.decision.agreeing) + "/" +
@@ -617,7 +533,7 @@ FleetResult runFleet(const FleetConfig& cfg) {
             gDivergent.set(static_cast<std::int64_t>(row.decision.verdicts.size()));
             // I10: a quorum-backed output is the fault-free twin's output,
             // byte for byte.
-            if (checkI10 && winner.stateText != twinText) {
+            if (checkI10 && !(winner.state == twinState)) {
                 violation(r, "I10: consensus output diverges from the fault-free twin (" +
                                  std::to_string(winner.state.size()) + " vs " +
                                  std::to_string(twinState.size()) + " VRPs)");
@@ -640,7 +556,7 @@ FleetResult runFleet(const FleetConfig& cfg) {
                                   std::to_string(v.member) + " class=" +
                                   std::string(toString(v.cls)) +
                                   (v.accountable ? " accountable=true" : " accountable=false"));
-            publish("member-" + std::to_string(v.member) + "/verdict",
+            ctx.publish("member-" + std::to_string(v.member) + "/verdict",
                     std::string(toString(v.cls)) + " @ epoch " + std::to_string(r));
             switch (v.cls) {
                 case MemberFaultClass::Crashed:
@@ -711,18 +627,20 @@ FleetResult runFleet(const FleetConfig& cfg) {
         for (const MemberFaultSpec& s : cfg.faulty) {
             if (s.fromEpoch >= cfg.epochs) continue;
             if (attributedMatching.count(s.member) == 0) {
-                recordViolation("I11: member-" + std::to_string(s.member) + " (configured " +
-                                std::string(toString(s.cls)) +
-                                ") was never attributed in any epoch");
+                ctx.violation("I11: member-" + std::to_string(s.member) + " (configured " +
+                              std::string(toString(s.cls)) +
+                              ") was never attributed in any epoch");
             }
         }
     }
 
-    result.stats.twinFinalRoas = twin.roaState().size();
+    result.stats.twinFinalRoas = twin.rp().roaState().size();
     if (lastOutput.has_value()) result.stats.finalOutputRoas = lastOutput->size();
     result.alarms = fleetAlarms.all();
+    result.violations = std::move(ctx.violations);
+    result.postmortems = std::move(ctx.postmortems);
     result.passed = result.violations.empty();
-    publish("state", result.passed ? "passed" : "failed");
+    ctx.publish("state", result.passed ? "passed" : "failed");
     return result;
 }
 

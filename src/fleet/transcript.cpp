@@ -1,6 +1,6 @@
 #include "fleet/transcript.hpp"
 
-#include "fleet/textutil.hpp"
+#include "util/kvline.hpp"
 #include "util/errors.hpp"
 
 namespace rpkic::fleet {
@@ -13,17 +13,17 @@ std::string LocalOutcome::str(std::uint64_t epoch) const {
 
 LocalOutcome LocalOutcome::parseLine(std::string_view line, std::uint64_t* epochOut) {
     LocalOutcome lo;
-    for (const auto& [key, value] : detail::keyValueTokens(line, "local")) {
+    for (const auto& [key, value] : kv::keyValueTokens(line, "local")) {
         if (key == "epoch") {
-            if (epochOut != nullptr) *epochOut = detail::parseU64(value, "epoch");
+            if (epochOut != nullptr) *epochOut = kv::parseU64(value, "epoch");
         } else if (key == "member") {
-            lo.member = static_cast<std::uint32_t>(detail::parseU64(value, "member"));
+            lo.member = kv::parseU32(value, "member");
         } else if (key == "outcome") {
             lo.outcome = consensusOutcomeFromString(value);
         } else if (key == "agree") {
-            lo.agreeing = static_cast<std::uint32_t>(detail::parseU64(value, "agree"));
+            lo.agreeing = kv::parseU32(value, "agree");
         } else if (key == "votes") {
-            lo.votesSeen = static_cast<std::uint32_t>(detail::parseU64(value, "votes"));
+            lo.votesSeen = kv::parseU32(value, "votes");
         } else {
             throw ParseError("local line has unknown key: " + std::string(key));
         }
@@ -65,19 +65,19 @@ FleetTranscript FleetTranscript::parse(std::string_view text) {
         if (line.empty()) continue;
 
         if (!sawHeader) {
-            for (const auto& [key, value] : detail::keyValueTokens(line, "fleettranscript")) {
+            for (const auto& [key, value] : kv::keyValueTokens(line, "fleettranscript")) {
                 if (key == "version") {
-                    if (detail::parseU64(value, "version") != 1) {
+                    if (kv::parseU64(value, "version") != 1) {
                         throw ParseError("unsupported transcript version");
                     }
                 } else if (key == "seed") {
-                    t.seed = detail::parseU64(value, "seed");
+                    t.seed = kv::parseU64(value, "seed");
                 } else if (key == "members") {
-                    t.members = static_cast<std::uint32_t>(detail::parseU64(value, "members"));
+                    t.members = kv::parseU32(value, "members");
                 } else if (key == "quorum") {
-                    t.quorum = static_cast<std::uint32_t>(detail::parseU64(value, "quorum"));
+                    t.quorum = kv::parseU32(value, "quorum");
                 } else if (key == "epochs") {
-                    t.epochs = detail::parseU64(value, "epochs");
+                    t.epochs = kv::parseU64(value, "epochs");
                 } else {
                     throw ParseError("transcript header has unknown key: " + std::string(key));
                 }
@@ -93,13 +93,13 @@ FleetTranscript FleetTranscript::parse(std::string_view text) {
         if (tag == "epoch") {
             if (inEpoch) throw ParseError("epoch line before previous epoch's output line");
             TranscriptEpoch row;
-            for (const auto& [key, value] : detail::keyValueTokens(line, "epoch")) {
+            for (const auto& [key, value] : kv::keyValueTokens(line, "epoch")) {
                 if (key == "n") {
-                    row.epoch = detail::parseU64(value, "epoch number");
+                    row.epoch = kv::parseU64(value, "epoch number");
                 } else if (key == "rejected") {
-                    row.rejectedVotes = detail::parseU64(value, "rejected");
+                    row.rejectedVotes = kv::parseU64(value, "rejected");
                 } else if (key == "stale") {
-                    row.staleVotes = detail::parseU64(value, "stale");
+                    row.staleVotes = kv::parseU64(value, "stale");
                 } else {
                     throw ParseError("epoch line has unknown key: " + std::string(key));
                 }
@@ -130,16 +130,16 @@ FleetTranscript FleetTranscript::parse(std::string_view text) {
         } else if (tag == "output") {
             if (!inEpoch || !sawDecision) throw ParseError("output line before decision");
             TranscriptEpoch& row = t.rows.back();
-            for (const auto& [key, value] : detail::keyValueTokens(line, "output")) {
+            for (const auto& [key, value] : kv::keyValueTokens(line, "output")) {
                 if (key == "epoch") {
-                    if (detail::parseU64(value, "epoch") != row.epoch) {
+                    if (kv::parseU64(value, "epoch") != row.epoch) {
                         throw ParseError("output epoch mismatch");
                     }
                 } else if (key == "present") {
                     if (value != "true" && value != "false") throw ParseError("bad present flag");
                     row.hasOutput = value == "true";
                 } else if (key == "roas") {
-                    row.outputRoas = detail::parseU64(value, "roas");
+                    row.outputRoas = kv::parseU64(value, "roas");
                 } else {
                     throw ParseError("output line has unknown key: " + std::string(key));
                 }

@@ -1,8 +1,11 @@
 #include "fleet/vote.hpp"
 
-#include "fleet/textutil.hpp"
+#include <algorithm>
+
+#include "detector/state_io.hpp"
 #include "rpki/encoding.hpp"
 #include "util/errors.hpp"
+#include "util/kvline.hpp"
 
 namespace rpkic::fleet {
 
@@ -82,7 +85,7 @@ std::string VrpVote::str() const {
     }
     bool first = true;
     for (const VoteClaim& c : claims) {
-        detail::requireTranscriptSafe(c.pointUri, "vote point uri");
+        kv::requireTokenSafe(c.pointUri, "vote point uri");
         if (!first) out += ",";
         first = false;
         out += c.pointUri + "@" + std::to_string(c.number) + "@" + c.bodyHash.hex();
@@ -93,25 +96,25 @@ std::string VrpVote::str() const {
 VrpVote VrpVote::parseLine(std::string_view line) {
     VrpVote v;
     bool sawClaims = false;
-    for (const auto& [key, value] : detail::keyValueTokens(line, "vote")) {
+    for (const auto& [key, value] : kv::keyValueTokens(line, "vote")) {
         if (key == "member") {
-            v.member = static_cast<std::uint32_t>(detail::parseU64(value, "member"));
+            v.member = kv::parseU32(value, "member");
         } else if (key == "epoch") {
-            v.epoch = detail::parseU64(value, "epoch");
+            v.epoch = kv::parseU64(value, "epoch");
         } else if (key == "hash") {
             v.vrpHash = Digest::fromHex(value);
         } else if (key == "roas") {
-            v.vrpCount = detail::parseU64(value, "roas");
+            v.vrpCount = kv::parseU64(value, "roas");
         } else if (key == "claims") {
             sawClaims = true;
             if (value == "-") continue;
-            for (std::string_view item : detail::splitList(value, ',')) {
-                const auto parts = detail::splitList(item, '@');
+            for (std::string_view item : kv::splitList(value, ',')) {
+                const auto parts = kv::splitList(item, '@');
                 if (parts.size() != 3) throw ParseError("vote claim is not point@number@hash");
                 VoteClaim c;
-                detail::requireParsedTokenSafe(parts[0], "vote claim point uri");
+                kv::requireParsedTokenSafe(parts[0], "vote claim point uri");
                 c.pointUri = std::string(parts[0]);
-                c.number = detail::parseU64(parts[1], "claim number");
+                c.number = kv::parseU64(parts[1], "claim number");
                 c.bodyHash = Digest::fromHex(parts[2]);
                 if (!v.claims.empty() && !(v.claims.back().pointUri < c.pointUri)) {
                     throw ParseError("vote claims not strictly sorted by point");
@@ -123,6 +126,20 @@ VrpVote VrpVote::parseLine(std::string_view line) {
         }
     }
     if (!sawClaims) throw ParseError("vote line missing claims field");
+    return v;
+}
+
+VrpVote buildVote(const rp::RelyingParty& rp, const RpkiState& vrps, std::uint32_t member,
+                  std::uint64_t epoch) {
+    VrpVote v;
+    v.member = member;
+    v.epoch = epoch;
+    v.vrpHash = sha256(stateToText(vrps));
+    v.vrpCount = vrps.size();
+    for (const rp::ManifestClaim& c : rp.exportManifestClaims()) {
+        v.claims.push_back(VoteClaim{c.pointUri, c.number, c.bodyHash});
+    }
+    std::sort(v.claims.begin(), v.claims.end());
     return v;
 }
 

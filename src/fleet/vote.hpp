@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "crypto/sha256.hpp"
+#include "rp/relying_party.hpp"
 #include "util/bytes.hpp"
 
 namespace rpkic::fleet {
@@ -62,5 +63,13 @@ struct VrpVote {
 
     bool operator==(const VrpVote&) const = default;
 };
+
+/// The VRP-set identity a relying party votes with, and the one place a
+/// vote is built from one: the SHA-256 of the canonical text of `vrps`
+/// (detector stateToText), its tuple count, and the relying party's
+/// manifest claims sorted by point URI. `vrps` must be rp.roaState();
+/// callers pass it in because they keep it for their output checks.
+VrpVote buildVote(const rp::RelyingParty& rp, const RpkiState& vrps, std::uint32_t member,
+                  std::uint64_t epoch);
 
 }  // namespace rpkic::fleet

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/errors.hpp"
+#include "util/kvline.hpp"
 
 namespace rpkic::obs {
 
@@ -22,25 +23,6 @@ bool flightKindFromString(std::string_view text, FlightKind* out) {
     return false;
 }
 
-/// Parses "key=<uint>" off the front of `text`; advances past it and one
-/// trailing space on success.
-bool eatUintField(std::string_view* text, std::string_view key, std::uint64_t* out) {
-    const std::string prefix = std::string(key) + "=";
-    if (text->substr(0, prefix.size()) != prefix) return false;
-    text->remove_prefix(prefix.size());
-    std::uint64_t value = 0;
-    std::size_t digits = 0;
-    while (!text->empty() && (*text)[0] >= '0' && (*text)[0] <= '9') {
-        value = value * 10 + static_cast<std::uint64_t>((*text)[0] - '0');
-        text->remove_prefix(1);
-        ++digits;
-    }
-    if (digits == 0) return false;
-    if (!text->empty() && (*text)[0] == ' ') text->remove_prefix(1);
-    *out = value;
-    return true;
-}
-
 /// Parses "key=<token>" (token = up to the next space) off the front.
 bool eatTokenField(std::string_view* text, std::string_view key, std::string* out) {
     const std::string prefix = std::string(key) + "=";
@@ -50,6 +32,12 @@ bool eatTokenField(std::string_view* text, std::string_view key, std::string* ou
     *out = std::string(text->substr(0, end));
     text->remove_prefix(end == std::string_view::npos ? text->size() : end + 1);
     return true;
+}
+
+/// Parses "key=<uint>" off the front of `text` (the same token rule).
+bool eatUintField(std::string_view* text, std::string_view key, std::uint64_t* out) {
+    std::string token;
+    return eatTokenField(text, key, &token) && kv::tryParseU64(token, out);
 }
 
 }  // namespace

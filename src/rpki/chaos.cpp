@@ -1,12 +1,12 @@
 #include "rpki/chaos.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <sstream>
 
 #include "rpki/encoding.hpp"
 #include "rpki/objects.hpp"
 #include "util/errors.hpp"
+#include "util/kvline.hpp"
 
 namespace rpkic {
 
@@ -72,25 +72,6 @@ bool kindIsFileScoped(FaultKind k) {
            k == FaultKind::ChainGraft;
 }
 
-std::uint64_t parseU64Field(std::string_view value, const char* field) {
-    std::uint64_t out = 0;
-    const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
-    if (ec != std::errc() || ptr != value.data() + value.size()) {
-        throw ParseError(std::string("bad numeric value for '") + field + "' in fault plan");
-    }
-    return out;
-}
-
-/// Splits "key=value" (value may contain '='? no: keys are known, values
-/// never contain spaces; points/filenames with spaces are rejected).
-std::pair<std::string_view, std::string_view> splitKv(std::string_view token) {
-    const auto eq = token.find('=');
-    if (eq == std::string_view::npos) {
-        throw ParseError("fault-plan token is not key=value: " + std::string(token));
-    }
-    return {token.substr(0, eq), token.substr(eq + 1)};
-}
-
 /// FNV-1a, not std::hash: the garbage stream must be identical across
 /// standard libraries for plan replays to reproduce bit for bit.
 std::uint64_t fnv1a(std::string_view s) {
@@ -141,47 +122,26 @@ std::string FaultPlan::serialize() const {
 FaultPlan FaultPlan::parse(std::string_view text) {
     FaultPlan plan;
     bool sawHeader = false;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const auto nl = text.find('\n', pos);
-        std::string_view line =
-            text.substr(pos, nl == std::string_view::npos ? text.size() - pos : nl - pos);
-        pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-
-        // Tokenize on single spaces; skip blank lines and comments.
-        std::vector<std::string_view> tokens;
-        std::size_t t = 0;
-        while (t < line.size()) {
-            while (t < line.size() && line[t] == ' ') ++t;
-            std::size_t e = t;
-            while (e < line.size() && line[e] != ' ') ++e;
-            if (e > t) tokens.push_back(line.substr(t, e - t));
-            t = e;
-        }
-        if (tokens.empty() || tokens.front().starts_with('#')) continue;
-
+    kv::forEachTokenLine(text, [&](const std::vector<std::string_view>& tokens,
+                                   std::string_view line) {
         if (tokens.front() == "faultplan") {
             if (sawHeader) throw ParseError("duplicate fault-plan header");
             if (tokens.size() < 2 || tokens[1] != "v1") {
                 throw ParseError("unsupported fault-plan version");
             }
-            for (std::size_t i = 2; i < tokens.size(); ++i) {
-                const auto [key, value] = splitKv(tokens[i]);
+            for (const auto& [key, value] : kv::keyValues(tokens, 2, "fault-plan")) {
                 if (key == "seed") {
-                    plan.seed = parseU64Field(value, "seed");
+                    plan.seed = kv::parseU64(value, "seed");
                 } else if (key == "rounds") {
-                    plan.rounds = parseU64Field(value, "rounds");
+                    plan.rounds = kv::parseU64(value, "rounds");
                 } else if (key == "retry") {
-                    plan.retryBudget =
-                        static_cast<std::uint32_t>(parseU64Field(value, "retry"));
+                    plan.retryBudget = kv::parseU32(value, "retry");
                 } else if (key == "adversarial-ppm") {
-                    plan.adversarialPpm =
-                        static_cast<std::uint32_t>(parseU64Field(value, "adversarial-ppm"));
+                    plan.adversarialPpm = kv::parseU32(value, "adversarial-ppm");
                 } else if (key == "stall-horizon") {
-                    plan.stallHorizon = parseU64Field(value, "stall-horizon");
+                    plan.stallHorizon = kv::parseU64(value, "stall-horizon");
                 } else if (key == "crash-every") {
-                    plan.crashEvery =
-                        static_cast<std::uint32_t>(parseU64Field(value, "crash-every"));
+                    plan.crashEvery = kv::parseU32(value, "crash-every");
                 } else if (key == "pack") {
                     plan.pack = std::string(value);
                 } else {
@@ -189,7 +149,7 @@ FaultPlan FaultPlan::parse(std::string_view text) {
                 }
             }
             sawHeader = true;
-            continue;
+            return;
         }
         if (tokens.front() != "fault") {
             throw ParseError("unexpected fault-plan line: " + std::string(line));
@@ -198,8 +158,7 @@ FaultPlan FaultPlan::parse(std::string_view text) {
 
         Fault f;
         bool sawKind = false, sawPoint = false;
-        for (std::size_t i = 1; i < tokens.size(); ++i) {
-            const auto [key, value] = splitKv(tokens[i]);
+        for (const auto& [key, value] : kv::keyValues(tokens, 1, "fault-plan")) {
             if (key == "kind") {
                 f.kind = faultKindFromString(value);
                 sawKind = true;
@@ -209,15 +168,13 @@ FaultPlan FaultPlan::parse(std::string_view text) {
             } else if (key == "file") {
                 f.filename = std::string(value);
             } else if (key == "round") {
-                f.round = parseU64Field(value, "round");
+                f.round = kv::parseU64(value, "round");
             } else if (key == "rounds") {
-                f.rounds = static_cast<std::uint32_t>(parseU64Field(value, "rounds"));
+                f.rounds = kv::parseU32(value, "rounds");
             } else if (key == "attempts") {
-                f.attempts = value == "all"
-                                 ? Fault::kAllAttempts
-                                 : static_cast<std::uint32_t>(parseU64Field(value, "attempts"));
+                f.attempts = value == "all" ? Fault::kAllAttempts : kv::parseU32(value, "attempts");
             } else if (key == "param") {
-                f.param = parseU64Field(value, "param");
+                f.param = kv::parseU64(value, "param");
             } else {
                 throw ParseError("unknown fault field: " + std::string(key));
             }
@@ -228,7 +185,7 @@ FaultPlan FaultPlan::parse(std::string_view text) {
         }
         if (f.rounds == 0) throw ParseError("fault with rounds=0 is inert");
         plan.faults.push_back(std::move(f));
-    }
+    });
     if (!sawHeader) throw ParseError("missing fault-plan header");
     return plan;
 }

@@ -124,10 +124,6 @@ struct SoakConfig {
     std::function<void()> onEpochPublished;
 };
 
-/// Reconstructs the configuration a plan was generated under, so replays
-/// run the identical experiment.
-SoakConfig configFromPlan(const FaultPlan& plan);
-
 struct SoakStats {
     std::uint64_t faultsScheduled = 0;     ///< plan entries
     std::uint64_t faultApplications = 0;   ///< fault hits across attempts
@@ -177,19 +173,12 @@ struct SoakResult {
 /// hierarchy evolves) and checks invariants I1-I7.
 SoakResult runSoak(const SoakConfig& cfg);
 
-/// Replays a serialized plan: no generation, identical outcome.
-/// `registry` overrides the run-local metrics registry (see SoakConfig);
-/// `stateVfs`/`stateDir` override the durable store's backing filesystem
-/// when the plan carries a crashEvery cadence (nullptr = internal MemVfs,
-/// which reproduces the generating run's crash points bit-identically).
-SoakResult runSoakWithPlan(const FaultPlan& plan, obs::Registry* registry = nullptr,
-                           vfs::Vfs* stateVfs = nullptr,
-                           const std::string& stateDir = "soak-state");
-
-/// Replay with a full config: plan-derived fields (seed, rounds, budgets,
-/// crash cadence) come from the plan; everything else — registry, state
-/// backend, status board, epoch capture / RTR store wiring — from
-/// `overrides`.
-SoakResult runSoakWithPlan(const FaultPlan& plan, const SoakConfig& overrides);
+/// Replays a serialized plan: no generation, identical outcome. The
+/// plan-derived fields (seed, rounds, budgets, crash cadence) come from the
+/// plan; everything else — registry, state backend, status board, epoch
+/// capture / RTR store wiring — from `overrides`. With a crashEvery cadence
+/// and no stateVfs, the internal MemVfs reproduces the generating run's
+/// crash points bit-identically.
+SoakResult runSoakWithPlan(const FaultPlan& plan, const SoakConfig& overrides = {});
 
 }  // namespace rpkic::sim

@@ -20,9 +20,11 @@
 //           reference run's committed payloads — specifically the one
 //           whose meta the store reports (pre- or post- the interrupted
 //           transaction, nothing else), and
-//       (b) after restoring the relying party from the recovered bytes
-//           and resuming, the run converges: its final serialized state
-//           is byte-identical to the never-crashed reference.
+//       (b) restoring the relying party from the recovered bytes passes
+//           I8 (it re-serializes to exactly those bytes; the restart is
+//           sim::RpProcess, shared with the soak and the fleet), and after
+//           resuming the run converges: its final serialized state is
+//           byte-identical to the never-crashed reference.
 //
 // Delivery faults are deliberately absent (the chaos soak owns those);
 // the sweep isolates durability. Small rounds/checkpointEvery keep the

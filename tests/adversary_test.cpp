@@ -76,6 +76,22 @@ TEST(PackOracleText, MalformedInputsRaiseParseError) {
     EXPECT_THROW((void)PackOracle::parse("not an oracle"), ParseError);
     const std::string good = makePack("stalloris-drain")->oracle().serialize();
     EXPECT_THROW((void)PackOracle::parse(good + "require-alarm class=meteor\n"), ParseError);
+    // min= past 2^64-1 once wrapped to a requirement that could never
+    // fail; empty and non-digit counts are rejected as well.
+    ASSERT_NO_THROW((void)PackOracle::parse(
+        good + "require class=missing-information accountable=no min=3\n" +
+        "reject outcome=regressed min=18446744073709551615\n"));
+    for (const char* min : {"18446744073709551616", "99999999999999999999", "", "1x", "-1"}) {
+        EXPECT_THROW((void)PackOracle::parse(good +
+                                             "require class=missing-information accountable=no "
+                                             "min=" + min + "\n"),
+                     ParseError)
+            << "min=" << min;
+        EXPECT_THROW(
+            (void)PackOracle::parse(good + "reject outcome=regressed min=" + min + "\n"),
+            ParseError)
+            << "reject min=" << min;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -78,6 +78,21 @@ TEST(FaultPlan, MalformedInputsRaiseParseError) {
     EXPECT_THROW(
         (void)FaultPlan::parse(samplePlan().serialize() + "fault kind=meteor point=x\n"),
         ParseError);
+    // Numeric fields: overflow (u64, and u32 fields past 2^32-1 — these
+    // once wrapped silently), empty and non-digit values are all rejected.
+    for (const char* header : {"faultplan v1 seed=18446744073709551616",
+                               "faultplan v1 seed=1 retry=4294967296",
+                               "faultplan v1 seed=1 crash-every=4294967297",
+                               "faultplan v1 seed=", "faultplan v1 seed=1x",
+                               "faultplan v1 seed=-1", "faultplan v1 seed=+1"}) {
+        EXPECT_THROW((void)FaultPlan::parse(header), ParseError) << header;
+    }
+    for (const char* fault : {"rounds=4294967297", "round=18446744073709551616",
+                              "attempts=4294967296", "param=", "param=0x10"}) {
+        const std::string text =
+            std::string("faultplan v1 seed=1\nfault kind=drop-point point=p rounds=1 ") + fault;
+        EXPECT_THROW((void)FaultPlan::parse(text), ParseError) << fault;
+    }
     const Bytes wire = samplePlan().encode();
     for (const std::size_t cut : {std::size_t{0}, std::size_t{3}, wire.size() / 2}) {
         EXPECT_THROW((void)FaultPlan::decode(ByteView(wire.data(), cut)), ParseError);

@@ -2,7 +2,8 @@
 // WAL/checkpoint store's commit/recover contract, the torn-write and
 // bit-flip matrices over the on-disk formats, the exhaustive per-VFS-op
 // crash sweep, and the chaos soak's kill/restart mode (invariants I8/I9
-// plus plan replay determinism). See docs/DURABILITY.md.
+// plus plan replay determinism), and the shared restart path the soak,
+// the sweep and the fleet recover through. See docs/DURABILITY.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,10 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "consent/authority.hpp"
 #include "rp/durable_store.hpp"
 #include "rp/relying_party.hpp"
+#include "rpki/chaos.hpp"
 #include "sim/chaos_soak.hpp"
 #include "sim/crash_sweep.hpp"
+#include "sim/rp_process.hpp"
 #include "util/errors.hpp"
 #include "util/vfs.hpp"
 
@@ -334,6 +338,111 @@ TEST(DurableStore, RepairSurvivesCorruptCheckpointAtTheReplayedLsn) {
     EXPECT_EQ(*again.latest(), blob("payload-1"));
     EXPECT_EQ(again.latestMeta(), 11u);
     EXPECT_EQ(again.latestLsn(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The shared restart path (sim/rp_process.hpp)
+
+/// Root + org authority with one ROA; the process commits every round
+/// into a store on `fs`.
+struct RestartWorld {
+    Repository repo;
+    consent::AuthorityDirectory dir{
+        77, consent::AuthorityOptions{.ts = 4, .signerHeight = 6, .manifestLifetime = 1000}};
+    consent::Authority* root;
+    consent::Authority* org;
+    vfs::MemVfs fs{7};
+    obs::Registry registry;
+
+    RestartWorld() {
+        root = &dir.createTrustAnchor(
+            "root", ResourceSet::ofPrefixes({IpPrefix::parse("10.0.0.0/8")}), repo, 0);
+        org = &dir.createChild(*root, "org",
+                               ResourceSet::ofPrefixes({IpPrefix::parse("10.1.0.0/16")}), repo, 0);
+        org->issueRoa("r1", 64500, {{IpPrefix::parse("10.1.0.0/20"), 24}}, repo, 0);
+    }
+
+    sim::RpProcessConfig config() {
+        return sim::RpProcessConfig{.name = "proc",
+                                    .trustAnchors = {root->cert()},
+                                    .options = {.ts = 4, .tg = 8},
+                                    .policy = {.maxAttempts = 2, .quarantineAfter = 5},
+                                    .registry = &registry,
+                                    .recorder = nullptr,
+                                    .stateVfs = &fs,
+                                    .stateDir = "proc-state",
+                                    .storeOptions = {}};
+    }
+};
+
+TEST(RestartPath, NothingDurableRestartsFreshFromTheTrustAnchors) {
+    RestartWorld w;
+    RepositorySource honest(w.repo);
+    sim::RpProcess proc(w.config(), honest);
+    w.fs.armCrashAt(w.fs.opCount());  // the first commit's first operation
+    EXPECT_THROW(proc.engine().syncRound(0), vfs::CrashInjected);
+
+    const RecoveryReport rec = proc.reopenStore();
+    EXPECT_FALSE(rec.recovered);
+    EXPECT_FALSE(proc.alive());
+    ASSERT_FALSE(proc.store()->latest().has_value());
+    EXPECT_EQ(proc.restart(proc.store()->latestMeta()), "");
+    ASSERT_TRUE(proc.alive());
+    EXPECT_EQ(proc.rp().name(), "proc");
+    EXPECT_TRUE(proc.rp().validRoas().empty());  // nothing synced yet
+
+    std::uint64_t redone = 0;
+    proc.redoThrough(0, 0, redone);  // the round the crash wiped out
+    EXPECT_EQ(redone, 1u);
+    EXPECT_EQ(proc.rp().validRoas().size(), 1u);
+    EXPECT_EQ(proc.store()->latestMeta(), 1u);
+}
+
+TEST(RestartPath, TamperedPayloadReportsAnI8FailureWithoutThrowing) {
+    RestartWorld w;
+    RepositorySource honest(w.repo);
+    sim::RpProcess proc(w.config(), honest);
+    proc.engine().syncRound(0);
+    ASSERT_TRUE(proc.store()->latest().has_value());
+    Bytes tampered = *proc.store()->latest();
+    tampered[tampered.size() / 2] ^= 0x01;
+    proc.store()->commit(view(tampered), proc.store()->latestMeta());
+
+    proc.reopenStore();
+    ASSERT_EQ(*proc.store()->latest(), tampered);
+    std::string failure;
+    EXPECT_NO_THROW(failure = proc.restart(proc.store()->latestMeta()));
+    EXPECT_NE(failure.find("recovered payload does not deserialize"), std::string::npos)
+        << failure;
+    EXPECT_FALSE(proc.alive());
+}
+
+TEST(RestartPath, RestartedEngineRejectsManifestsBelowTheRestoredFloor) {
+    RestartWorld w;
+    RepositorySource honest(w.repo);
+    ChaosSource chaos(honest, FaultPlan{});
+    const std::string orgPoint = w.org->cert().pubPointUri;
+    // Round 2 serves the org point as it was at round 0: a manifest older
+    // than the one the dead incarnation accepted in round 1.
+    chaos.addFault({FaultKind::ServeStale, orgPoint, "", 2, 1, Fault::kAllAttempts, 0});
+
+    sim::RpProcess proc(w.config(), chaos);
+    proc.engine().syncRound(0);
+    w.org->refreshManifest(w.repo, 1);
+    proc.engine().syncRound(1);
+
+    proc.reopenStore();
+    ASSERT_EQ(proc.restart(proc.store()->latestMeta()), "");
+    EXPECT_EQ(proc.engine().round(), 2u);
+    proc.engine().syncRound(2);
+
+    const rp::PointTelemetry* pt = proc.engine().telemetryFor(orgPoint);
+    ASSERT_NE(pt, nullptr);
+    const auto regressed = pt->rejections.find(rp::FetchOutcome::Regressed);
+    ASSERT_NE(regressed, pt->rejections.end());
+    EXPECT_EQ(regressed->second, 2u);  // both attempts of the stale round
+    EXPECT_TRUE(proc.rp().isPointStale(orgPoint));
+    EXPECT_EQ(proc.rp().validRoas().size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

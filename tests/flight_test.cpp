@@ -202,6 +202,24 @@ TEST(Postmortem, ParseRejectsMalformedInput) {
     std::string text = obs::buildPostmortem(rec, nullptr, "t", {});
     text.resize(text.size() / 2);  // truncation must not parse
     EXPECT_THROW(obs::parsePostmortem(text), ParseError);
+
+    // Header counts: overflow (which once wrapped to 0 and parsed), empty
+    // and non-digit values are malformed.
+    const std::string good = obs::buildPostmortem(rec, nullptr, "t", {});
+    ASSERT_NO_THROW(obs::parsePostmortem(good));
+    for (const auto& [field, bad] : std::vector<std::pair<std::string, std::string>>{
+             {"open=0", "open=18446744073709551616"},
+             {"open=0", "open="},
+             {"open=0", "open=0x"},
+             {"dropped=0", "dropped=18446744073709551616"},
+             {"events=0", "events=-0"},
+             {"series=0", "series=18446744073709551617"}}) {
+        std::string mutated = good;
+        const std::size_t at = mutated.find(field);
+        ASSERT_NE(at, std::string::npos) << field;
+        mutated.replace(at, field.size(), bad);
+        EXPECT_THROW(obs::parsePostmortem(mutated), ParseError) << bad;
+    }
 }
 
 TEST(Postmortem, RenderFlightEventsIsStable) {

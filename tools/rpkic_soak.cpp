@@ -119,6 +119,7 @@
 //
 // Exit status: 0 = all invariants held, 2 = violations, 1 = usage/IO error.
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -144,6 +145,7 @@
 #include "sim/chaos_soak.hpp"
 #include "sim/crash_sweep.hpp"
 #include "util/errors.hpp"
+#include "util/kvline.hpp"
 #include "util/parallel.hpp"
 #include "util/vfs.hpp"
 
@@ -264,6 +266,57 @@ std::atomic<bool> gStopServing{false};
 
 extern "C" void onStopSignal(int) { gStopServing.store(true); }
 
+void printUsage() {
+    std::fprintf(stderr,
+                 "usage: rpkic-soak [--seeds N] [--seed-base B] [--rounds N]\n"
+                 "                  [--fault-rate X] [--retry-budget N] "
+                 "[--adversarial X]\n"
+                 "                  [--crash-every N] [--state-dir DIR] "
+                 "[--crash-sweep]\n"
+                 "                  [--fleet N] [--quorum Q] [--faulty-set SPEC]\n"
+                 "                  [--transcript-out FILE]\n"
+                 "                  [--pack NAME[,..]] [--disable-detection]\n"
+                 "                  [--smoke] [--compare] [--plan FILE] [--quiet]\n"
+                 "                  [--scoreboard] [--metrics-out FILE] "
+                 "[--trace-out FILE]\n"
+                 "                  [--serve ADDR:PORT] [--serve-hold] "
+                 "[--flight-out DIR]\n"
+                 "                  [--rtr ADDR:PORT] [--rtr-dump FILE]\n"
+                 "                  [--force-invariant-fail]\n"
+                 "                  [--log-level LEVEL] [--threads N]\n");
+}
+
+/// A bad numeric flag value is a usage error (exit 1), never a silent 0
+/// or a wrapped count. Integers go through the line codec's parser.
+[[noreturn]] void badFlag(const std::string& why) {
+    std::fprintf(stderr, "rpkic-soak: %s\n", why.c_str());
+    printUsage();
+    std::exit(1);
+}
+
+std::uint64_t uintFlag(const char* flag, const char* text, std::uint64_t max = UINT64_MAX) {
+    try {
+        return kv::parseU64(text, flag, max);
+    } catch (const ParseError& e) {
+        badFlag(e.what());
+    }
+}
+
+std::uint32_t u32Flag(const char* flag, const char* text) {
+    return static_cast<std::uint32_t>(uintFlag(flag, text, UINT32_MAX));
+}
+
+/// Rates are a whole-string decimal in [0, 1].
+double rateFlag(const char* flag, const char* text) {
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    const bool digitFirst = std::isdigit(static_cast<unsigned char>(text[0])) || text[0] == '.';
+    if (!digitFirst || *end != '\0' || !(value >= 0.0 && value <= 1.0)) {
+        badFlag(std::string(flag) + " wants a rate in [0, 1], got '" + text + "'");
+    }
+    return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -301,29 +354,27 @@ int main(int argc, char** argv) {
             return argv[++i];
         };
         if (arg == "--seeds") {
-            seeds = std::strtoull(next("--seeds"), nullptr, 10);
+            seeds = uintFlag("--seeds", next("--seeds"));
         } else if (arg == "--seed-base") {
-            seedBase = std::strtoull(next("--seed-base"), nullptr, 10);
+            seedBase = uintFlag("--seed-base", next("--seed-base"));
         } else if (arg == "--rounds") {
-            cfg.rounds = static_cast<std::uint32_t>(std::strtoul(next("--rounds"), nullptr, 10));
+            cfg.rounds = u32Flag("--rounds", next("--rounds"));
         } else if (arg == "--fault-rate") {
-            cfg.faultRate = std::strtod(next("--fault-rate"), nullptr);
+            cfg.faultRate = rateFlag("--fault-rate", next("--fault-rate"));
         } else if (arg == "--retry-budget") {
-            cfg.retryBudget =
-                static_cast<std::uint32_t>(std::strtoul(next("--retry-budget"), nullptr, 10));
+            cfg.retryBudget = u32Flag("--retry-budget", next("--retry-budget"));
         } else if (arg == "--adversarial") {
-            cfg.adversarialProbability = std::strtod(next("--adversarial"), nullptr);
+            cfg.adversarialProbability = rateFlag("--adversarial", next("--adversarial"));
         } else if (arg == "--crash-every") {
-            cfg.crashEvery =
-                static_cast<std::uint32_t>(std::strtoul(next("--crash-every"), nullptr, 10));
+            cfg.crashEvery = u32Flag("--crash-every", next("--crash-every"));
         } else if (arg == "--state-dir") {
             stateDir = next("--state-dir");
         } else if (arg == "--crash-sweep") {
             crashSweep = true;
         } else if (arg == "--fleet") {
-            fleetSize = static_cast<std::uint32_t>(std::strtoul(next("--fleet"), nullptr, 10));
+            fleetSize = u32Flag("--fleet", next("--fleet"));
         } else if (arg == "--quorum") {
-            fleetQuorum = static_cast<std::uint32_t>(std::strtoul(next("--quorum"), nullptr, 10));
+            fleetQuorum = u32Flag("--quorum", next("--quorum"));
             if (fleetQuorum == 0) {
                 // 0 is also the internal "use the default" sentinel; an
                 // explicit 0 must not silently become a majority quorum.
@@ -370,23 +421,7 @@ int main(int argc, char** argv) {
         } else if (arg == "--threads") {
             threadSpec = next("--threads");
         } else {
-            std::fprintf(stderr,
-                         "usage: rpkic-soak [--seeds N] [--seed-base B] [--rounds N]\n"
-                         "                  [--fault-rate X] [--retry-budget N] "
-                         "[--adversarial X]\n"
-                         "                  [--crash-every N] [--state-dir DIR] "
-                         "[--crash-sweep]\n"
-                         "                  [--fleet N] [--quorum Q] [--faulty-set SPEC]\n"
-                         "                  [--transcript-out FILE]\n"
-                         "                  [--pack NAME[,..]] [--disable-detection]\n"
-                         "                  [--smoke] [--compare] [--plan FILE] [--quiet]\n"
-                         "                  [--scoreboard] [--metrics-out FILE] "
-                         "[--trace-out FILE]\n"
-                         "                  [--serve ADDR:PORT] [--serve-hold] "
-                         "[--flight-out DIR]\n"
-                         "                  [--rtr ADDR:PORT] [--rtr-dump FILE]\n"
-                         "                  [--force-invariant-fail]\n"
-                         "                  [--log-level LEVEL] [--threads N]\n");
+            printUsage();
             return 1;
         }
     }
@@ -518,7 +553,9 @@ int main(int argc, char** argv) {
         return rc;
     };
 
-    const auto writeExports = [&]() -> bool {
+    // A completed run: write --metrics-out/--trace-out, then exit 0 if every
+    // run passed, 2 on violations, 1 if an export could not be written.
+    const auto finishRun = [&](bool passed) -> int {
         bool ok = true;
         if (!metricsOut.empty()) {
             ok = writeFileOrComplain(metricsOut, obs::Registry::global().renderPrometheus()) && ok;
@@ -528,7 +565,7 @@ int main(int argc, char** argv) {
             ok = writeFileOrComplain(traceOut, obs::Tracer::global().renderChromeTrace()) && ok;
             if (ok && !quiet) std::printf("trace written to %s\n", traceOut.c_str());
         }
-        return ok;
+        return finish(!ok ? 1 : passed ? 0 : 2);
     };
 
     if (fleetSize > 0) {
@@ -605,8 +642,7 @@ int main(int argc, char** argv) {
         if (!transcriptOut.empty() && !quiet) {
             std::printf("transcripts written to %s\n", transcriptOut.c_str());
         }
-        if (!writeExports()) return finish(1);
-        return finish(failures == 0 ? 0 : 2);
+        return finishRun(failures == 0);
     }
 
     if (!packSpec.empty()) {
@@ -651,8 +687,7 @@ int main(int argc, char** argv) {
         if (!transcriptOut.empty() && !quiet) {
             std::printf("transcripts written to %s\n", transcriptOut.c_str());
         }
-        if (!writeExports()) return finish(1);
-        return finish(failures == 0 ? 0 : 2);
+        return finishRun(failures == 0);
     }
 
     // Durable-store state on the real filesystem: one DiskVfs shared by
@@ -704,8 +739,7 @@ int main(int argc, char** argv) {
         std::printf("crash sweep: %llu/%llu seeds passed\n",
                     static_cast<unsigned long long>(seeds - failures),
                     static_cast<unsigned long long>(seeds));
-        if (!writeExports()) return finish(1);
-        return finish(failures == 0 ? 0 : 2);
+        return finishRun(failures == 0);
     }
 
     if (!planPath.empty()) {
@@ -746,8 +780,7 @@ int main(int argc, char** argv) {
             if (!transcriptOut.empty() && !writeFileOrComplain(transcriptOut, r.transcript)) {
                 return finish(1);
             }
-            if (!writeExports()) return finish(1);
-            return finish(r.passed ? 0 : 2);
+            return finishRun(r.passed);
         }
         std::printf("replaying %s: seed=%llu rounds=%llu faults=%zu crash-every=%u\n",
                     planPath.c_str(), static_cast<unsigned long long>(plan.seed),
@@ -767,8 +800,7 @@ int main(int argc, char** argv) {
         if (!rtrDump.empty() && !quiet) {
             std::printf("epoch dump written to %s\n", rtrDump.c_str());
         }
-        if (!writeExports()) return finish(1);
-        return finish(r.passed ? 0 : 2);
+        return finishRun(r.passed);
     }
 
     // The seed sweep fans out over the worker pool: every seed's run (and
@@ -844,6 +876,5 @@ int main(int argc, char** argv) {
         if (!writeFileOrComplain(rtrDump, dump)) return finish(1);
         if (!quiet) std::printf("epoch dump written to %s\n", rtrDump.c_str());
     }
-    if (!writeExports()) return finish(1);
-    return finish(failures == 0 ? 0 : 2);
+    return finishRun(failures == 0);
 }
