@@ -3,6 +3,8 @@
 // chain verification as a relying party performs it.
 #include <benchmark/benchmark.h>
 
+#include "crypto/sha256_backend.hpp"
+#include "crypto/wots.hpp"
 #include "crypto/xmss.hpp"
 #include "rpki/objects.hpp"
 #include "rpki/signing.hpp"
@@ -11,14 +13,42 @@ namespace {
 
 using namespace rpkic;
 
-void BM_Sha256_1KiB(benchmark::State& state) {
-    Bytes data(1024, 0xAB);
+void BM_Sha256(benchmark::State& state) {
+    const auto size = static_cast<std::size_t>(state.range(0));
+    Bytes data(size, 0xAB);
     for (auto _ : state) {
         benchmark::DoNotOptimize(sha256(ByteView(data.data(), data.size())));
     }
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(size));
 }
-BENCHMARK(BM_Sha256_1KiB);
+// 64 B is one object digest's worth of padding overhead; 1 KiB a manifest
+// body; 1 MiB the bulk rate that state digests and WAL frames see.
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(1 << 20);
+
+/// The Merkle node function: 64 bytes in, two compressions.
+void BM_Sha256Pair(benchmark::State& state) {
+    Digest left = sha256("left");
+    const Digest right = sha256("right");
+    for (auto _ : state) {
+        left = sha256Pair(left, right);
+        benchmark::DoNotOptimize(left);
+    }
+}
+BENCHMARK(BM_Sha256Pair);
+
+/// One WOTS chain step, the unit that keygen (15 per chain, 67 chains per
+/// leaf) and verification repeat: a single-block hash.
+void BM_WotsChainStep(benchmark::State& state) {
+    const Digest publicSeed = sha256("public seed");
+    Digest value = sha256("chain value");
+    std::uint32_t position = 0;
+    for (auto _ : state) {
+        value = wots::chainStep(publicSeed, 3, 17, position++ & 15, value);
+        benchmark::DoNotOptimize(value);
+    }
+}
+BENCHMARK(BM_WotsChainStep);
 
 void BM_KeyGeneration(benchmark::State& state) {
     const int height = static_cast<int>(state.range(0));
@@ -106,4 +136,13 @@ BENCHMARK(BM_ObjectEncodeDecode);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+    // Printed in the console header and stored in the JSON context.
+    benchmark::AddCustomContext("sha256_backend",
+                                rpkic::sha256_backend::shaNiAvailable() ? "sha-ni" : "portable");
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

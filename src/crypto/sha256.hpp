@@ -53,8 +53,6 @@ public:
     void reset();
 
 private:
-    void processBlock(const std::uint8_t* block);
-
     std::uint32_t state_[8];
     std::uint64_t totalBytes_;
     std::uint8_t buffer_[64];
@@ -67,6 +65,10 @@ Digest sha256(std::string_view s);
 
 /// Hash of the concatenation of two digests; the Merkle-tree node function.
 Digest sha256Pair(const Digest& left, const Digest& right);
+
+/// Hash of the first `len` <= 55 bytes of `block`, for fixed-layout inputs
+/// built in place: pads the rest of `block` and runs one compression.
+Digest sha256OneBlock(std::array<std::uint8_t, 64>& block, std::size_t len);
 
 }  // namespace rpkic
 

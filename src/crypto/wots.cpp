@@ -6,38 +6,22 @@ namespace rpkic::wots {
 
 namespace {
 
-// PRF for secret chain heads: SHA-256("wots-sk" || seed || leaf || chain).
-Digest prfSecret(const Digest& secretSeed, std::uint32_t leafIndex, std::uint32_t chain) {
-    Sha256 h;
-    h.update("wots-sk");
-    h.update(ByteView(secretSeed.bytes.data(), secretSeed.bytes.size()));
-    const std::uint8_t ctx[8] = {
-        static_cast<std::uint8_t>(leafIndex >> 24), static_cast<std::uint8_t>(leafIndex >> 16),
-        static_cast<std::uint8_t>(leafIndex >> 8),  static_cast<std::uint8_t>(leafIndex),
-        static_cast<std::uint8_t>(chain >> 24),     static_cast<std::uint8_t>(chain >> 16),
-        static_cast<std::uint8_t>(chain >> 8),      static_cast<std::uint8_t>(chain),
-    };
-    h.update(ByteView(ctx, sizeof ctx));
-    return h.finish();
+void putBe32(std::uint8_t* out, std::uint32_t v) {
+    out[0] = static_cast<std::uint8_t>(v >> 24);
+    out[1] = static_cast<std::uint8_t>(v >> 16);
+    out[2] = static_cast<std::uint8_t>(v >> 8);
+    out[3] = static_cast<std::uint8_t>(v);
 }
 
-// One chain step, domain separated by position so partial chains cannot be
-// replayed at a different height. The input is laid out to fit a single
-// SHA-256 block (51 bytes + padding), halving the per-step cost: domain
-// byte, 12-byte public-seed prefix, leaf index, chain, position, value.
-Digest chainStep(const Digest& publicSeed, std::uint32_t leafIndex, std::uint32_t chain,
-                 std::uint32_t position, const Digest& value) {
-    std::uint8_t buf[51];
-    buf[0] = 0xF1;
-    std::memcpy(buf + 1, publicSeed.bytes.data(), 12);
-    buf[13] = static_cast<std::uint8_t>(leafIndex >> 24);
-    buf[14] = static_cast<std::uint8_t>(leafIndex >> 16);
-    buf[15] = static_cast<std::uint8_t>(leafIndex >> 8);
-    buf[16] = static_cast<std::uint8_t>(leafIndex);
-    buf[17] = static_cast<std::uint8_t>(chain);  // kChains = 67 < 256
-    buf[18] = static_cast<std::uint8_t>(position);  // <= 15
-    std::memcpy(buf + 19, value.bytes.data(), 32);
-    return sha256(ByteView(buf, sizeof buf));
+// PRF for secret chain heads: SHA-256("wots-sk" || seed || leaf || chain),
+// 47 bytes, so one padded block.
+Digest prfSecret(const Digest& secretSeed, std::uint32_t leafIndex, std::uint32_t chain) {
+    std::array<std::uint8_t, 64> block{};
+    std::memcpy(block.data(), "wots-sk", 7);
+    std::memcpy(block.data() + 7, secretSeed.bytes.data(), 32);
+    putBe32(block.data() + 39, leafIndex);
+    putBe32(block.data() + 43, chain);
+    return sha256OneBlock(block, 47);
 }
 
 // Applies chain steps from position `from` (exclusive of the value's own
@@ -58,6 +42,21 @@ Digest compress(const std::array<Digest, kChains>& tails) {
 }
 
 }  // namespace
+
+// The input is laid out to fit a single SHA-256 block (51 bytes + padding),
+// halving the per-step cost: domain byte, 12-byte public-seed prefix, leaf
+// index, chain, position, value.
+Digest chainStep(const Digest& publicSeed, std::uint32_t leafIndex, std::uint32_t chain,
+                 std::uint32_t position, const Digest& value) {
+    std::array<std::uint8_t, 64> block{};
+    block[0] = 0xF1;
+    std::memcpy(block.data() + 1, publicSeed.bytes.data(), 12);
+    putBe32(block.data() + 13, leafIndex);
+    block[17] = static_cast<std::uint8_t>(chain);     // kChains = 67 < 256
+    block[18] = static_cast<std::uint8_t>(position);  // <= 15
+    std::memcpy(block.data() + 19, value.bytes.data(), 32);
+    return sha256OneBlock(block, 51);
+}
 
 std::array<std::uint8_t, kChains> messageDigits(const Digest& messageDigest) {
     std::array<std::uint8_t, kChains> digits{};

@@ -43,6 +43,11 @@ Signature sign(const Digest& secretSeed, const Digest& publicSeed, std::uint32_t
 Digest publicKeyFromSignature(const Digest& publicSeed, std::uint32_t leafIndex,
                               const Digest& messageDigest, const Signature& sig);
 
+/// One chain step, domain separated by position so partial chains cannot
+/// be replayed at a different height. Exposed for benchmarks.
+Digest chainStep(const Digest& publicSeed, std::uint32_t leafIndex, std::uint32_t chain,
+                 std::uint32_t position, const Digest& value);
+
 /// Splits a digest into base-16 digits followed by the checksum digits.
 /// Exposed for tests.
 std::array<std::uint8_t, kChains> messageDigits(const Digest& messageDigest);

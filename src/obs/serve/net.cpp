@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -182,6 +183,11 @@ struct SocketServer::Loop {
                 const int size = options.sessionSendBuffer;
                 ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &size, sizeof size);
             }
+            // Replies and RTR Serial Notifies are small writes; with Nagle on,
+            // one sent while an earlier segment is unacknowledged waits for
+            // the peer's delayed ACK (tens of ms).
+            const int noDelay = 1;
+            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &noDelay, sizeof noDelay);
             NetSession session;
             session.fd = fd;
             auto [it, inserted] = sessions.emplace(fd, std::move(session));

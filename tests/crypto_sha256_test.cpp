@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
 
 #include "util/bytes.hpp"
@@ -35,12 +37,63 @@ TEST(Sha256, MillionA) {
               "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
+// Message of `len` bytes whose byte i is i mod 256.
+Bytes countingMessage(std::size_t len) {
+    Bytes msg(len);
+    for (std::size_t i = 0; i < len; ++i) msg[i] = static_cast<std::uint8_t>(i);
+    return msg;
+}
+
 TEST(Sha256, ExactBlockBoundary) {
-    // 64 bytes: exercises the padding path where the length does not fit
-    // in the final block.
-    const std::string msg(64, 'x');
-    EXPECT_EQ(sha256(msg), sha256(msg));
-    EXPECT_NE(sha256(msg), sha256(std::string(65, 'x')));
+    // Lengths on each side of the padding edges: 55 is the longest message
+    // whose length field fits its last block, 56..63 spill the padding into
+    // a second block, 64/128 end exactly on a block. Digests from Python's
+    // hashlib.sha256(bytes(i & 0xff for i in range(n))).
+    const struct {
+        std::size_t len;
+        const char* hex;
+    } kCases[] = {
+        {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+        {55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59"},
+        {56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562"},
+        {63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488"},
+        {64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108"},
+        {65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781"},
+        {119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6"},
+        {120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c"},
+        {128, "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5"},
+    };
+    for (const auto& c : kCases) {
+        const Bytes msg = countingMessage(c.len);
+        EXPECT_EQ(sha256(ByteView(msg.data(), msg.size())).hex(), c.hex) << "length " << c.len;
+    }
+}
+
+TEST(Sha256, ChunkedStreamingMatchesOneShotAtEveryLength) {
+    for (std::size_t len = 0; len <= 200; ++len) {
+        const Bytes msg = countingMessage(len);
+        const Digest oneShot = sha256(ByteView(msg.data(), msg.size()));
+        for (const std::size_t chunk : {1, 3, 63, 64, 65}) {
+            Sha256 h;
+            for (std::size_t at = 0; at < len; at += chunk) {
+                h.update(ByteView(msg.data() + at, std::min(chunk, len - at)));
+            }
+            EXPECT_EQ(h.finish(), oneShot) << "length " << len << ", chunk " << chunk;
+        }
+    }
+}
+
+TEST(Sha256, OneBlockMatchesStreamingUpTo55Bytes) {
+    for (std::size_t len = 0; len <= 55; ++len) {
+        const Bytes msg = countingMessage(len);
+        std::array<std::uint8_t, 64> block;
+        block.fill(0xEE);  // padding must overwrite whatever follows the message
+        std::copy(msg.begin(), msg.end(), block.begin());
+        EXPECT_EQ(sha256OneBlock(block, len), sha256(ByteView(msg.data(), msg.size())))
+            << "length " << len;
+    }
+    std::array<std::uint8_t, 64> block{};
+    EXPECT_THROW(sha256OneBlock(block, 56), InvariantError);
 }
 
 TEST(Sha256, StreamingMatchesOneShot) {

@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -21,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "obs/serve/http.hpp"
 #include "obs/serve/introspect.hpp"
+#include "obs/serve/net.hpp"
 
 namespace rpkic::obs {
 namespace {
@@ -428,6 +430,34 @@ TEST(HttpServerRegression, ClientAbortMidResponseIsDroppedNotFatal) {
     std::string body;
     EXPECT_EQ(fresh.roundTrip("GET /big HTTP/1.1\r\nHost: t\r\n\r\n", &body), 200);
     EXPECT_EQ(body.size(), 8u << 20);
+    server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// SocketServer
+
+TEST(SocketServer, AcceptedSessionsHaveNagleOff) {
+    // Small replies and RTR Serial Notifies must go out at once, not wait
+    // behind Nagle's algorithm for the peer's delayed ACK.
+    struct NoDelayProbe : SocketProtocol {
+        std::atomic<int> noDelay{-1};
+        void onOpen(NetSession& session) override {
+            int value = 0;
+            socklen_t len = sizeof value;
+            const int rc = ::getsockopt(session.fd, IPPROTO_TCP, TCP_NODELAY, &value, &len);
+            noDelay = rc == 0 ? value : -2;
+        }
+        void onData(NetSession& session) override { session.in.clear(); }
+    } probe;
+    SocketServer server;
+    std::string error;
+    ASSERT_TRUE(server.start("127.0.0.1:0", &probe, &error)) << error;
+    Client c(server.port());
+    ASSERT_TRUE(c.connected());
+    for (int i = 0; i < 500 && probe.noDelay == -1; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(probe.noDelay, 1);
     server.stop();
 }
 
