@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
          num(classicMs, 0)});
     row({"redesigned", num(static_cast<std::uint64_t>(consentSnap.points.size())),
          num(static_cast<std::uint64_t>(consentSnap.totalFiles())),
-         num(static_cast<std::uint64_t>(alice.validRoas().size())),
+         num(static_cast<std::uint64_t>(alice.validRoaCount())),
          num(static_cast<std::uint64_t>(alice.alarms().count())), num(newMs, 0)});
 
     subheading("interpretation");

@@ -49,7 +49,7 @@ int main() {
 
     rp::RelyingParty alice("alice", {rir.cert()}, rp::RpOptions{.ts = 3, .tg = 6});
     alice.sync(repo.snapshot(), clock.now());
-    std::printf("initial sync: %zu valid ROAs\n", alice.validRoas().size());
+    std::printf("initial sync: %zu valid ROAs\n", alice.validRoaCount());
     showAlarms(alice);
 
     // --- Consensual revocation ----------------------------------------------
@@ -62,7 +62,7 @@ int main() {
     std::printf("  collected %zu .dead object(s)\n", deads.size());
     isp.revokeChild("customer", deads, repo, clock.now());
     alice.sync(repo.snapshot(), clock.now());
-    std::printf("  after revocation: %zu valid ROAs\n", alice.validRoas().size());
+    std::printf("  after revocation: %zu valid ROAs\n", alice.validRoaCount());
     std::printf("  Alice saw the customer's .dead: %s\n",
                 alice.sawDeadFor(customer.cert().uri, customer.cert().serial) ? "yes" : "no");
     showAlarms(alice);

@@ -38,7 +38,7 @@ int main() {
     alice.sync(worldA.snapshot(), clock.now());
     bob.sync(worldA.snapshot(), clock.now());
     std::printf("day 0: alice and bob agree, %zu valid ROA(s) each\n",
-                alice.validRoas().size());
+                alice.validRoaCount());
 
     // --- the fork -----------------------------------------------------------
     // org duplicates its signing state and publishes diverging updates: the
@@ -53,7 +53,7 @@ int main() {
     bob.sync(worldB.snapshot(), clock.now());
     std::printf("day 1: alice sees %zu ROAs, bob sees %zu — and neither has alarms "
                 "(%zu / %zu)\n",
-                alice.validRoas().size(), bob.validRoas().size(), alice.alarms().count(),
+                alice.validRoaCount(), bob.validRoaCount(), alice.alarms().count(),
                 bob.alarms().count());
 
     // --- the audit ----------------------------------------------------------

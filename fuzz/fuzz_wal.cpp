@@ -87,7 +87,7 @@ void fuzzOne(const std::uint8_t* data, std::size_t size) {
         } catch (...) {
             fail("open() threw on an arbitrary image");
         }
-        recovered = store.latest();
+        if (const auto latest = store.latest()) recovered = Bytes(latest->begin(), latest->end());
         recoveredMeta = store.latestMeta();
         recoveredLsn = store.latestLsn();
         if (!recovered.has_value() && recoveredLsn != 0)
@@ -110,7 +110,11 @@ void fuzzOne(const std::uint8_t* data, std::size_t size) {
         } catch (...) {
             fail("second open() threw over the recovered image");
         }
-        if (store.latest() != recovered) fail("re-recovery changed the payload");
+        const auto again = store.latest();
+        if (again.has_value() != recovered.has_value() ||
+            (again.has_value() && !std::ranges::equal(*again, *recovered))) {
+            fail("re-recovery changed the payload");
+        }
         if (store.latestMeta() != recoveredMeta) fail("re-recovery changed the meta");
         if (store.latestLsn() != recoveredLsn) fail("re-recovery changed the LSN");
         try {
@@ -130,7 +134,8 @@ void fuzzOne(const std::uint8_t* data, std::size_t size) {
             fail("open() after the probe commit threw");
         }
         if (!store.latest().has_value()) fail("probe commit lost across recovery");
-        if (*store.latest() != probe) fail("probe payload corrupted across recovery");
+        if (!std::ranges::equal(*store.latest(), probe))
+            fail("probe payload corrupted across recovery");
         if (store.latestMeta() != probeMeta) fail("probe meta lost across recovery");
         if (store.latestLsn() <= recoveredLsn) fail("probe LSN regressed across recovery");
     }

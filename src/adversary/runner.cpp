@@ -229,6 +229,11 @@ PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
         }
         everQuarantined = everQuarantined || quarantinedNow;
 
+        const std::vector<Roa> chaoticValid = chaotic.validRoas();
+        if (const std::string bad = chaoticProc.checkCachedOutputs(chaoticValid); !bad.empty()) {
+            harnessErrors.push_back("round " + std::to_string(r) + ": " + bad);
+        }
+
         std::uint64_t accountable = 0;
         for (const rp::Alarm& a : chaotic.alarms().all()) {
             if (a.accountable) ++accountable;
@@ -240,7 +245,7 @@ PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
                    << (roundVerdict == MemberFaultClass::None
                            ? std::string_view("-")
                            : fleet::toString(roundVerdict))
-                   << " roas=" << chaotic.validRoas().size() << "\n";
+                   << " roas=" << chaoticValid.size() << "\n";
     }
 
     // --- judge against the oracle -------------------------------------------

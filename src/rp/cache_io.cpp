@@ -4,6 +4,7 @@
 // revocation).
 #include "rp/relying_party.hpp"
 
+#include <bit>
 #include <limits>
 
 #include "crypto/sha256.hpp"
@@ -30,11 +31,40 @@ std::uint32_t checkedU32(std::size_t n, const char* what) {
     return static_cast<std::uint32_t>(n);
 }
 
+// Allowance for a signed object whose bytes the cache does not hold as a
+// file (an RC record's certificate, a trust anchor, a .dead, a manifest not
+// yet verified): a ~2.3 KB signature plus its fields.
+constexpr std::size_t kSignedObjectBytes = 4096;
+// Allowance for one small table entry (a few strings, digests, integers).
+constexpr std::size_t kEntryBytes = 256;
+
 }  // namespace
 
+std::size_t RelyingParty::serializedSizeHint() const {
+    // Exact for the bulk (object files, verified manifests), generous
+    // allowances for the rest.
+    std::size_t n = kSignedObjectBytes * (trustAnchors_.size() + rcs_.size() +
+                                          deadsSeenFull_.size()) +
+                    kEntryBytes * (1 + points_.size() + deadSeen_.size() + successors_.size() +
+                                   hashWindow_.size());
+    for (const auto& [uri, pc] : points_) {
+        n += pc.verifiedManifest.empty() ? kSignedObjectBytes : pc.verifiedManifest.size();
+        for (const auto& [filename, bytes] : pc.files) n += 8 + filename.size() + bytes.size();
+    }
+    for (const auto& a : alarms_.all()) {
+        n += kEntryBytes + a.victim.size() + a.perpetrator.size() + a.detail.size();
+    }
+    return n;
+}
 
 Bytes RelyingParty::serializeState() const {
+    // One allocation, rounded up to a power of two as vector growth would
+    // be. glibc raises its mmap threshold to the largest block freed and
+    // trims the heap top once twice that is free; sized to the state
+    // itself, this buffer plus the store's WAL frame cross that line, and
+    // every round handed ~11 MB back to the kernel and faulted it in again.
     Encoder e;
+    e.reserve(std::bit_ceil(serializedSizeHint()));
     e.u32(kMagic);
     e.str(name_);
     e.i64(options_.ts);
@@ -255,6 +285,7 @@ RelyingParty RelyingParty::deserializeState(ByteView data, bool allowLegacy,
     }
     rp.lastSyncTime_ = d.i64();
     d.expectEnd();
+    rp.refreshOutputs();
     return rp;
 }
 

@@ -150,6 +150,7 @@ RecoveryReport DurableStore::open() {
     open_ = false;
     poisoned_ = false;
     latest_.reset();
+    latestBuf_ = Bytes();
     latestMeta_ = 0;
     lastLsn_ = 0;
     checkpointLsn_ = 0;
@@ -173,7 +174,8 @@ RecoveryReport DurableStore::open() {
         std::uint64_t meta = 0;
         Bytes payload;
         if (tryLoadCheckpoint(vfs::joinPath(dir_, name), seq, meta, payload) && seq == lsn) {
-            latest_ = std::move(payload);
+            const std::size_t len = payload.size();
+            holdLatest(std::move(payload), 0, len);
             latestMeta_ = meta;
             lastLsn_ = seq;
             checkpointLsn_ = seq;
@@ -296,8 +298,9 @@ void DurableStore::scanWal(std::uint64_t ckptSeq, RecoveryReport& report) {
         const std::uint64_t lsn = getBe64(wal, bodyAt + 1);
         const std::uint64_t meta = getBe64(wal, bodyAt + 9);
         if (lsn > lastLsn_ && lsn > ckptSeq) {
-            latest_ = Bytes(wal.begin() + static_cast<std::ptrdiff_t>(bodyAt + kFrameHeaderLen),
-                            wal.begin() + static_cast<std::ptrdiff_t>(digestAt));
+            holdLatest(Bytes(wal.begin() + static_cast<std::ptrdiff_t>(bodyAt + kFrameHeaderLen),
+                             wal.begin() + static_cast<std::ptrdiff_t>(digestAt)),
+                       0, digestAt - bodyAt - kFrameHeaderLen);
             latestMeta_ = meta;
             lastLsn_ = lsn;
             ++report.walRecordsReplayed;
@@ -316,8 +319,10 @@ void DurableStore::commit(ByteView payload, std::uint64_t meta) {
     }
     RC_OBS_TIMED(commitSeconds_);
     const std::uint64_t lsn = lastLsn_ + 1;
+    const std::size_t payloadLen = payload.size();
+    Bytes frame;
     try {
-        appendFrame(payload, lsn, meta);
+        frame = appendFrame(payload, lsn, meta);
         fs_.sync(walPath());  // <- the commit point
     } catch (const vfs::IoError&) {
         // The WAL tail may now hold a partial frame; appending after it
@@ -327,13 +332,14 @@ void DurableStore::commit(ByteView payload, std::uint64_t meta) {
         throw;
     }
     lastLsn_ = lsn;
-    latest_ = Bytes(payload.begin(), payload.end());
+    // `payload` may alias the previous latest payload; it is not read again.
+    holdLatest(std::move(frame), 4 + kFrameHeaderLen, payloadLen);
     latestMeta_ = meta;
     if (recorder_ != nullptr || obs::FlightRecorder::global().enabled()) {
         obs::flightRecord(recorder_, obs::FlightKind::StoreCommit,
                           "store/" + options_.name,
                           "lsn=" + std::to_string(lsn) + " meta=" + std::to_string(meta) +
-                              " bytes=" + std::to_string(payload.size()));
+                              " bytes=" + std::to_string(payloadLen));
     }
     commitsTotal_->inc();
     ++commitsSinceCheckpoint_;
@@ -342,7 +348,7 @@ void DurableStore::commit(ByteView payload, std::uint64_t meta) {
     }
 }
 
-void DurableStore::appendFrame(ByteView payload, std::uint64_t lsn, std::uint64_t meta) {
+Bytes DurableStore::appendFrame(ByteView payload, std::uint64_t lsn, std::uint64_t meta) {
     RC_CHECK(payload.size() <= kMaxFrameBody - kFrameHeaderLen,
              "durable-store payload exceeds the 1 GiB frame bound");
     const std::size_t bodyLen = kFrameHeaderLen + payload.size();
@@ -357,6 +363,12 @@ void DurableStore::appendFrame(ByteView payload, std::uint64_t lsn, std::uint64_
     frame.insert(frame.end(), digest.bytes.begin(), digest.bytes.end());
     fs_.appendFile(walPath(), ByteView(frame.data(), frame.size()));
     appendsTotal_->inc();
+    return frame;
+}
+
+void DurableStore::holdLatest(Bytes buf, std::size_t at, std::size_t len) {
+    latestBuf_ = std::move(buf);
+    latest_ = ByteView(latestBuf_).subspan(at, len);
 }
 
 void DurableStore::checkpointNow() {
@@ -377,14 +389,15 @@ void DurableStore::checkpointNow() {
 }
 
 void DurableStore::writeCheckpoint() {
+    const ByteView payload = *latest_;
     Bytes data;
-    data.reserve(4 + 4 + 8 + 8 + 8 + latest_->size() + kDigestLen);
+    data.reserve(4 + 4 + 8 + 8 + 8 + payload.size() + kDigestLen);
     putBe32(data, kCkptMagic);
     putBe32(data, kCkptVersion);
     putBe64(data, lastLsn_);
     putBe64(data, latestMeta_);
-    putBe64(data, latest_->size());
-    data.insert(data.end(), latest_->begin(), latest_->end());
+    putBe64(data, payload.size());
+    data.insert(data.end(), payload.begin(), payload.end());
     const Digest digest = sha256(ByteView(data.data(), data.size()));
     data.insert(data.end(), digest.bytes.begin(), digest.bytes.end());
 

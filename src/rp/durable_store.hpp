@@ -107,8 +107,9 @@ public:
     /// WAL. No-op if nothing has ever been committed.
     void checkpointNow();
 
-    /// Latest committed payload, or nullopt if none. Valid after open().
-    const std::optional<Bytes>& latest() const { return latest_; }
+    /// Latest committed payload, or nullopt if none. Valid after open();
+    /// the view lasts until the next commit() or open().
+    std::optional<ByteView> latest() const { return latest_; }
     /// meta passed to the commit that produced latest().
     std::uint64_t latestMeta() const { return latestMeta_; }
     /// LSN of the latest commit (0 if none; LSNs start at 1).
@@ -123,7 +124,10 @@ public:
     std::string checkpointPath(std::uint64_t lsn) const;
 
 private:
-    void appendFrame(ByteView payload, std::uint64_t lsn, std::uint64_t meta);
+    /// Appends one WAL frame and returns its bytes.
+    Bytes appendFrame(ByteView payload, std::uint64_t lsn, std::uint64_t meta);
+    /// Makes buf[at, at + len) the latest payload.
+    void holdLatest(Bytes buf, std::size_t at, std::size_t len);
     void writeCheckpoint();
     /// Parses one checkpoint file; returns false (not throws) on any
     /// corruption — recovery falls back to older checkpoints.
@@ -139,7 +143,11 @@ private:
 
     bool open_ = false;
     bool poisoned_ = false;
-    std::optional<Bytes> latest_;
+    // The latest payload stays inside the buffer that carried it (the WAL
+    // frame commit() appended, or recovery's copy), so a commit never
+    // copies it a second time. latest_ views into latestBuf_.
+    Bytes latestBuf_;
+    std::optional<ByteView> latest_;
     std::uint64_t latestMeta_ = 0;
     std::uint64_t lastLsn_ = 0;            ///< highest LSN ever committed
     std::uint64_t checkpointLsn_ = 0;      ///< LSN folded into the newest ckpt

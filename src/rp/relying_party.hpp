@@ -102,8 +102,13 @@ public:
     // --- validity outputs ---------------------------------------------------
     /// The current set of valid ROAs (descending only through Valid RCs;
     /// stale objects are retained per §5.3.2 — "revert to an older set").
+    /// Decoded on demand: the cache holds the ROA files, not the objects.
     std::vector<Roa> validRoas() const;
-    RpkiState roaState() const;
+    /// The VRP tuples of validRoas(), derived once at the end of every
+    /// sync() (and on construction and restore), so reading it is free.
+    const RpkiState& roaState() const { return roaState_; }
+    /// validRoas().size(), derived by the same walk as roaState().
+    std::size_t validRoaCount() const { return validRoaCount_; }
 
     const RcRecord* findRc(const std::string& uri) const;
     /// True if the last sync could not obtain this publication point's
@@ -154,6 +159,13 @@ private:
         Manifest manifest;                 // head of the processed chain
         std::map<std::string, Bytes> files;  // logged object bytes we obtained
         bool stale = false;
+        // Verify memo: the manifest.mft bytes that last verified and the
+        // issuer key they verified under. A signature check is a pure
+        // function of (bytes, key), so an identical pair next round is
+        // known to verify. Runtime-only: never serialized, so a restored
+        // relying party verifies every manifest on its first round.
+        Bytes verifiedManifest;
+        PublicKey verifiedUnder;
     };
 
     struct ObtainedHash {
@@ -212,6 +224,16 @@ private:
     /// Valid children (RC records) logged in the cached point of `rcUri`.
     std::vector<const RcRecord*> cachedChildren(const std::string& rcUri) const;
 
+    /// Walks from the trust anchors through Valid RCs and hands every
+    /// valid ROA to `emit` (the one definition behind validRoas() and the
+    /// cached outputs).
+    template <typename Emit>
+    void forEachValidRoa(Emit&& emit) const;
+    /// Re-derives roaState_ and validRoaCount_ from the cache.
+    void refreshOutputs();
+    /// Capacity for serializeState()'s buffer (an estimate with slack).
+    std::size_t serializedSizeHint() const;
+
     std::string name_;
     RpOptions options_;
     std::vector<ResourceCert> trustAnchors_;
@@ -223,6 +245,9 @@ private:
     std::map<std::string, std::string> successors_;  // old RC uri -> new RC uri
     std::deque<ObtainedHash> hashWindow_;
     Time lastSyncTime_ = 0;
+    // Outputs derived from the cache above; refreshed by refreshOutputs().
+    RpkiState roaState_;
+    std::size_t validRoaCount_ = 0;
 
     // -- instruments (owned by registry_; see docs/OBSERVABILITY.md) --
     obs::Registry* registry_ = nullptr;

@@ -181,7 +181,8 @@ const EngineTotals& SyncEngine::totals() const {
     return totalsView_;
 }
 
-FetchOutcome SyncEngine::probe(const PointState& ps, const FileMap& files) const {
+FetchOutcome SyncEngine::probe(const PointState& ps, const FileMap& files,
+                               std::uint64_t* manifestNumber) const {
     const auto mftIt = files.find(kManifestName);
     if (mftIt == files.end()) return FetchOutcome::ManifestMissing;
 
@@ -222,6 +223,7 @@ FetchOutcome SyncEngine::probe(const PointState& ps, const FileMap& files) const
         return it == files.end() ? FetchOutcome::LoggedObjectMissing
                                  : FetchOutcome::LoggedObjectMismatch;
     }
+    *manifestNumber = m.number;
     return FetchOutcome::Ok;
 }
 
@@ -260,19 +262,11 @@ SyncReport SyncEngine::syncRound(Time now) {
 
             auto files = source_->fetchPoint(pointUri, round_, attempt);
             FetchOutcome outcome = FetchOutcome::Unreachable;
-            if (files.has_value()) outcome = probe(ps, *files);
+            // Accepted points record the regression floor from the probed head.
+            if (files.has_value()) outcome = probe(ps, *files, &acceptedNumber);
             if (outcome != FetchOutcome::Ok) {
                 rejectionCounter(ps, pointUri, outcome).inc();
                 continue;
-            }
-            // Accepted. Record the regression floor from the probed head.
-            const auto mftIt = files->find(kManifestName);
-            try {
-                const Manifest m =
-                    Manifest::decode(ByteView(mftIt->second.data(), mftIt->second.size()));
-                acceptedNumber = m.number;
-            } catch (const ParseError&) {
-                acceptedNumber = ps.highestManifestNumber;  // probe already decoded it
             }
             assembled.points.emplace(pointUri, std::move(*files));
             delivered = true;
@@ -336,7 +330,7 @@ SyncReport SyncEngine::syncRound(Time now) {
         rp_->sync(assembled, now);
     }
     report.alarmsRaised = rp_->alarms().count() - alarmsBefore;
-    report.validRoas = rp_->validRoas().size();
+    report.validRoas = rp_->validRoaCount();
     alarmsEscalated_->inc(report.alarmsRaised);
 
     obs::log(obs::LogLevel::Debug, "sync", "round-complete",

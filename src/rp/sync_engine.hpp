@@ -214,7 +214,9 @@ private:
     };
 
     /// Validates a fetched FileMap before it may reach the relying party.
-    FetchOutcome probe(const PointState& ps, const FileMap& files) const;
+    /// On Ok, `*manifestNumber` is the number of the probed manifest.
+    FetchOutcome probe(const PointState& ps, const FileMap& files,
+                       std::uint64_t* manifestNumber) const;
 
     PointState& stateFor(const std::string& pointUri);
     obs::Counter& rejectionCounter(PointState& ps, const std::string& pointUri, FetchOutcome o);

@@ -40,6 +40,7 @@ public:
     void prefix(const IpPrefix& p);
     void resources(const ResourceSet& r);
 
+    void reserve(std::size_t n) { out_.reserve(n); }
     Bytes take() { return std::move(out_); }
     const Bytes& view() const { return out_; }
 

@@ -370,7 +370,17 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
         }
         if (!roundOk) break;  // state after an escape is undefined; stop here
 
+        const std::vector<Roa> chaoticValid = chaotic.rp().validRoas();
         const std::vector<Roa> twinValid = twin.rp().validRoas();
+        // The outputs each relying party derived during its sync must
+        // match a fresh derivation from its cache.
+        const auto checkOutputs = [&](RpProcess& proc, const std::vector<Roa>& valid) {
+            if (const std::string bad = proc.checkCachedOutputs(valid); !bad.empty()) {
+                violation(r, proc.rp().name() + " relying party: " + bad);
+            }
+        };
+        checkOutputs(chaotic, chaoticValid);
+        checkOutputs(twin, twinValid);
         std::set<std::string> twinNow;
         for (const Roa& roa : twinValid) {
             twinNow.insert(roaKey(roa));
@@ -383,7 +393,7 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
         const bool allDelivered = !chaotic.engine().reports().empty() &&
                                   chaotic.engine().reports().back().round == r &&
                                   chaotic.engine().reports().back().pointsFailed == 0;
-        for (const Roa& roa : chaotic.rp().validRoas()) {
+        for (const Roa& roa : chaoticValid) {
             const std::string key = roaKey(roa);
             if (twinNow.count(key) > 0) continue;
             // Not current in the twin: only a visibly lagging or stale
@@ -478,7 +488,7 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
     s.faultsScheduled = result.plan.faults.size();
     s.faultApplications = chaos.faultApplications();
     s.twinAlarms = twin.rp().alarms().count();
-    s.twinValidRoasFinal = twin.rp().validRoas().size();
+    s.twinValidRoasFinal = twin.rp().validRoaCount();
     if (durable) s.storeCommits = chaotic.store()->latestLsn();
     if (chaotic.alive()) {  // a restart that broke I8 leaves nothing to ask
         const SyncEngine& engine = chaotic.engine();
@@ -497,7 +507,7 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
         for (const auto& a : chaotic.rp().alarms().all()) {
             if (a.accountable) ++s.accountableAlarms;
         }
-        s.validRoasFinal = chaotic.rp().validRoas().size();
+        s.validRoasFinal = chaotic.rp().validRoaCount();
         allReports.insert(allReports.end(), engine.reports().begin(), engine.reports().end());
     }
     result.rounds = std::move(allReports);

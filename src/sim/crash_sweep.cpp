@@ -1,5 +1,6 @@
 #include "sim/crash_sweep.hpp"
 
+#include <algorithm>
 #include <map>
 
 #include "sim/driver.hpp"
@@ -59,7 +60,8 @@ Reference runReference(const SweepConfig& cfg, obs::Registry* registry) {
         if (r > 0) run.driver.step(now);
         run.proc.engine().syncRound(now);
         // One commit per round: record what recovery is allowed to return.
-        ref.committed[run.proc.store()->latestMeta()] = *run.proc.store()->latest();
+        const ByteView committed = *run.proc.store()->latest();
+        ref.committed[run.proc.store()->latestMeta()] = Bytes(committed.begin(), committed.end());
     }
     ref.finalState = run.proc.rp().serializeState();
     ref.opCount = run.fs.opCount();
@@ -112,7 +114,7 @@ std::string rerunCrashedAt(const SweepConfig& cfg, const Reference& ref, std::ui
                            " does not bracket crashed round " + std::to_string(r);
                 }
                 const auto it = ref.committed.find(meta);
-                if (it == ref.committed.end() || !(*store.latest() == it->second)) {
+                if (it == ref.committed.end() || !std::ranges::equal(*store.latest(), it->second)) {
                     return "recovered payload for meta " + std::to_string(meta) +
                            " is not the reference commit (mixture state?)";
                 }

@@ -1,5 +1,7 @@
 #include "sim/rp_process.hpp"
 
+#include <algorithm>
+
 namespace rpkic::sim {
 
 using rp::RelyingParty;
@@ -33,16 +35,16 @@ rp::RecoveryReport RpProcess::reopenStore() {
 
 std::string RpProcess::restart(std::uint64_t resumeRound) {
     if (store_->latest().has_value()) {
-        const Bytes& blob = *store_->latest();
+        const ByteView blob = *store_->latest();
         try {
-            rp_.emplace(RelyingParty::deserializeState(ByteView(blob.data(), blob.size()),
-                                                       /*allowLegacy=*/false, config_.registry));
+            rp_.emplace(RelyingParty::deserializeState(blob, /*allowLegacy=*/false,
+                                                       config_.registry));
         } catch (const std::exception& e) {
             return std::string("recovered payload does not deserialize: ") + e.what();
         }
         // I8: the store must return a state some commit produced — not a
         // near miss.
-        if (!(rp_->serializeState() == blob)) {
+        if (!std::ranges::equal(rp_->serializeState(), blob)) {
             rp_.reset();
             return "recovered state does not re-serialize byte-identically (round " +
                    std::to_string(store_->latestMeta()) + " payload)";
@@ -66,6 +68,18 @@ void RpProcess::redoThrough(std::uint64_t round, Time now, std::uint64_t& redone
         ++redone;
         engine_->syncRound(now);
     }
+}
+
+std::string RpProcess::checkCachedOutputs(const std::vector<Roa>& validRoas) {
+    if (!(rp_->roaState() == RpkiState::fromRoas(validRoas))) {
+        return "cached roaState() differs from the VRPs of validRoas()";
+    }
+    // A restarted engine that had nothing to redo has no report yet.
+    if (!engine_->reports().empty() && engine_->reports().back().validRoas != validRoas.size()) {
+        return "SyncReport::validRoas " + std::to_string(engine_->reports().back().validRoas) +
+               " differs from validRoas().size() " + std::to_string(validRoas.size());
+    }
+    return "";
 }
 
 void RpProcess::startEngine(std::uint64_t resumeRound) {

@@ -78,6 +78,12 @@ public:
     /// store committed every round). Counts each rerun into `redone`.
     void redoThrough(std::uint64_t round, Time now, std::uint64_t& redone);
 
+    /// Differential oracle over the outputs the relying party derives once
+    /// per sync: given a fresh rp().validRoas(), returns "" when roaState()
+    /// and the engine's last SyncReport::validRoas agree with it, otherwise
+    /// what disagrees.
+    std::string checkCachedOutputs(const std::vector<Roa>& validRoas);
+
 private:
     void startEngine(std::uint64_t resumeRound);
 

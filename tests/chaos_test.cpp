@@ -4,6 +4,7 @@
 // revert), and the soak harness is reproducible from a serialized plan.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "consent/authority.hpp"
@@ -355,6 +356,70 @@ TEST(SyncEngine, StallorisStaleServingIsRefusedNeverSilent) {
     EXPECT_EQ(alice.validRoas().size(), 2u);
 }
 
+// Differential oracle for the outputs a relying party derives once per
+// sync(): they must equal a fresh walk of its cache.
+void expectOutputsFresh(const RelyingParty& rp, const rp::SyncReport* report,
+                        const std::string& where) {
+    const std::vector<Roa> valid = rp.validRoas();
+    EXPECT_EQ(rp.roaState(), RpkiState::fromRoas(valid)) << where;
+    EXPECT_EQ(rp.validRoaCount(), valid.size()) << where;
+    if (report != nullptr) {
+        EXPECT_EQ(report->validRoas, valid.size()) << where;
+    }
+}
+
+TEST(SyncEngine, CachedOutputsMatchAFreshDerivationEveryRoundAndAcrossARestart) {
+    World w;
+    RepositorySource honest(w.repo);
+    ChaosSource chaos(honest, FaultPlan{});
+    const std::string orgPoint = w.org->cert().pubPointUri;
+    // Rounds 3-4: org is unreachable, so its ROAs are retained stale.
+    chaos.addFault({FaultKind::DropPoint, orgPoint, "", 3, 2, Fault::kAllAttempts, 0});
+    const SyncPolicy policy{.maxAttempts = 2};
+
+    std::optional<RelyingParty> alice;
+    alice.emplace("alice", std::vector<ResourceCert>{w.root->cert()},
+                  RpOptions{.ts = 4, .tg = 8});
+    std::optional<SyncEngine> engine;
+    engine.emplace(*alice, chaos, policy);
+    expectOutputsFresh(*alice, nullptr, "before the first sync");
+
+    std::set<std::size_t> sizesSeen;
+    for (std::uint64_t round = 0; round < 10; ++round) {
+        if (round == 2) {
+            w.org->issueRoa("r2", 64501, {{pfx("10.1.16.0/20"), 24}}, w.repo, w.clock.now());
+        }
+        if (round == 3) {
+            w.org->issueRoa("r3", 64502, {{pfx("10.1.32.0/20"), 24}}, w.repo, w.clock.now());
+        }
+        if (round == 7) w.org->deleteRoa("r1", w.repo, w.clock.now());
+        const rp::SyncReport report = engine->syncRound(w.clock.now());
+        expectOutputsFresh(*alice, &report, "round " + std::to_string(round));
+        sizesSeen.insert(alice->validRoaCount());
+
+        if (round == 5) {
+            // Restart: the restored relying party derives its outputs on
+            // restore, before any sync, and keeps agreeing afterwards.
+            const RpkiState before = alice->roaState();
+            const Bytes blob = alice->serializeState();
+            engine.reset();
+            alice.emplace(RelyingParty::deserializeState(ByteView(blob.data(), blob.size())));
+            expectOutputsFresh(*alice, nullptr, "restored");
+            EXPECT_EQ(alice->roaState(), before);
+            engine.emplace(*alice, chaos, policy);
+            engine->resumeAt(round + 1);
+            for (const rp::ManifestClaim& claim : alice->exportManifestClaims()) {
+                engine->seedRegressionFloor(claim.pointUri, claim.number);
+            }
+        }
+        w.clock.advance(1);
+        w.org->refreshManifest(w.repo, w.clock.now());
+    }
+    // The oracle was exercised on growing, stale-retained and shrinking sets.
+    EXPECT_EQ(sizesSeen, (std::set<std::size_t>{1, 2, 3}));
+    EXPECT_EQ(alice->alarms().ofType(AlarmType::UnilateralRevocation).size(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Semantic attack-zoo kinds and overlays (the adversary packs schedule
 // these; here each ChaosSource mechanism is pinned in isolation)
@@ -503,6 +568,24 @@ TEST(ChaosSoak, SeedsPassAndPlansReplayIdentically) {
         EXPECT_EQ(again.stats.accountableAlarms, first.stats.accountableAlarms);
         EXPECT_EQ(again.stats.validRoasFinal, first.stats.validRoasFinal);
         EXPECT_EQ(again.plan, first.plan);
+    }
+}
+
+TEST(ChaosSoak, CachedOutputsOracleHoldsOnEightSeedsAndAcrossRestarts) {
+    // Every soak round checks both relying parties' roaState() and the
+    // report's validRoas count against a fresh validRoas() walk; even
+    // seeds also kill and restore the chaotic relying party.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        sim::SoakConfig cfg;
+        cfg.seed = seed;
+        cfg.rounds = 12;
+        cfg.crashEvery = seed % 2 == 0 ? 4 : 0;
+        const sim::SoakResult r = sim::runSoak(cfg);
+        EXPECT_TRUE(r.passed) << "seed " << seed << ": "
+                              << (r.violations.empty() ? "" : r.violations.front());
+        if (cfg.crashEvery > 0) {
+            EXPECT_GT(r.stats.crashes, 0u) << "seed " << seed;
+        }
     }
 }
 

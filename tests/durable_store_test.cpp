@@ -36,6 +36,12 @@ ByteView view(const Bytes& b) {
     return ByteView(b.data(), b.size());
 }
 
+/// A copy of the store's latest payload (callers assert it exists first).
+Bytes latestOf(const DurableStore& store) {
+    const ByteView v = *store.latest();
+    return Bytes(v.begin(), v.end());
+}
+
 // ---------------------------------------------------------------------------
 // MemVfs crash semantics
 
@@ -160,7 +166,7 @@ TEST(DurableStore, CommitsSurviveReopenNewestWins) {
     EXPECT_EQ(rec.walRecordsReplayed, 3u);
     EXPECT_EQ(rec.tornBytesDiscarded, 0u);
     ASSERT_TRUE(again.latest().has_value());
-    EXPECT_EQ(*again.latest(), blob("v3"));
+    EXPECT_EQ(latestOf(again), blob("v3"));
     EXPECT_EQ(again.latestMeta(), 3u);
 }
 
@@ -181,11 +187,31 @@ TEST(DurableStore, CheckpointFoldsWalAndRecoveryPrefersIt) {
     EXPECT_EQ(rec.checkpointSeq, 2u);
     EXPECT_EQ(rec.walRecordsReplayed, 1u);
     ASSERT_TRUE(again.latest().has_value());
-    EXPECT_EQ(*again.latest(), blob("c"));
+    EXPECT_EQ(latestOf(again), blob("c"));
     EXPECT_EQ(again.latestMeta(), 3u);
     // LSNs continue across the reopen.
     again.commit(view(blob("d")), 4);
     EXPECT_EQ(again.latestLsn(), 4u);
+}
+
+TEST(DurableStore, LatestCanBeCommittedAgainAndCheckpointed) {
+    // latest() views into the buffer of the last commit; committing that
+    // very view must frame the old bytes before the buffer is replaced.
+    obs::Registry reg;
+    vfs::MemVfs fs(13);
+    DurableStore store(fs, "st", StoreOptions{2, "t"}, &reg);  // fold every 2nd commit
+    store.open();
+    store.commit(view(blob("same-bytes")), 1);
+    store.commit(*store.latest(), 2);  // folds into a checkpoint
+    store.commit(*store.latest(), 3);  // back in the WAL
+    EXPECT_EQ(latestOf(store), blob("same-bytes"));
+
+    DurableStore again(fs, "st", StoreOptions{2, "t"}, &reg);
+    const RecoveryReport rec = again.open();
+    EXPECT_TRUE(rec.usedCheckpoint);
+    EXPECT_EQ(rec.walRecordsReplayed, 1u);
+    EXPECT_EQ(latestOf(again), blob("same-bytes"));
+    EXPECT_EQ(again.latestMeta(), 3u);
 }
 
 TEST(DurableStore, IoFailurePoisonsUntilReopenRepairs) {
@@ -201,16 +227,16 @@ TEST(DurableStore, IoFailurePoisonsUntilReopenRepairs) {
     // The failed commit did not happen; the store refuses to append after
     // a possibly-partial tail but still serves the committed payload.
     ASSERT_TRUE(store.latest().has_value());
-    EXPECT_EQ(*store.latest(), blob("good"));
+    EXPECT_EQ(latestOf(store), blob("good"));
     EXPECT_THROW(store.commit(view(blob("bad2")), 2), UsageError);
     EXPECT_THROW(store.checkpointNow(), UsageError);
 
     const RecoveryReport rec = store.open();  // repair
     EXPECT_FALSE(store.isPoisoned());
     EXPECT_TRUE(rec.recovered);
-    EXPECT_EQ(*store.latest(), blob("good"));
+    EXPECT_EQ(latestOf(store), blob("good"));
     store.commit(view(blob("after")), 2);
-    EXPECT_EQ(*store.latest(), blob("after"));
+    EXPECT_EQ(latestOf(store), blob("after"));
 }
 
 // ---------------------------------------------------------------------------
@@ -247,7 +273,7 @@ protected:
             const std::uint64_t meta = store.latestMeta();
             ASSERT_GE(meta, 1u) << what << " at " << at;
             ASSERT_LE(meta, committed_.size()) << what << " at " << at;
-            EXPECT_EQ(*store.latest(), committed_[meta - 1])
+            EXPECT_EQ(latestOf(store), committed_[meta - 1])
                 << what << " at " << at << ": recovered a mixture state";
         }
         // Repair must leave the store usable.
@@ -299,7 +325,7 @@ TEST(DurableStore, CorruptCheckpointFallsBackToOlderState) {
     EXPECT_TRUE(rec.repaired);
     if (again.latest().has_value()) {
         const std::vector<Bytes> committed = {blob("a"), blob("b"), blob("c"), blob("d")};
-        EXPECT_TRUE(std::find(committed.begin(), committed.end(), *again.latest()) !=
+        EXPECT_TRUE(std::find(committed.begin(), committed.end(), latestOf(again)) !=
                     committed.end());
     }
     // The corrupt file was removed so future recoveries skip the retry.
@@ -327,7 +353,7 @@ TEST(DurableStore, RepairSurvivesCorruptCheckpointAtTheReplayedLsn) {
     EXPECT_EQ(rec.corruptCheckpointsDiscarded, 1u);
     EXPECT_TRUE(rec.repaired);
     ASSERT_TRUE(repaired.latest().has_value());
-    EXPECT_EQ(*repaired.latest(), blob("payload-1"));
+    EXPECT_EQ(latestOf(repaired), blob("payload-1"));
 
     // The state survives ANOTHER recovery — the repair checkpoint exists
     // and passes its checksum.
@@ -335,7 +361,7 @@ TEST(DurableStore, RepairSurvivesCorruptCheckpointAtTheReplayedLsn) {
     const RecoveryReport rec2 = again.open();
     EXPECT_EQ(rec2.corruptCheckpointsDiscarded, 0u);
     ASSERT_TRUE(again.latest().has_value());
-    EXPECT_EQ(*again.latest(), blob("payload-1"));
+    EXPECT_EQ(latestOf(again), blob("payload-1"));
     EXPECT_EQ(again.latestMeta(), 11u);
     EXPECT_EQ(again.latestLsn(), 1u);
 }
@@ -404,12 +430,12 @@ TEST(RestartPath, TamperedPayloadReportsAnI8FailureWithoutThrowing) {
     sim::RpProcess proc(w.config(), honest);
     proc.engine().syncRound(0);
     ASSERT_TRUE(proc.store()->latest().has_value());
-    Bytes tampered = *proc.store()->latest();
+    Bytes tampered = latestOf(*proc.store());
     tampered[tampered.size() / 2] ^= 0x01;
     proc.store()->commit(view(tampered), proc.store()->latestMeta());
 
     proc.reopenStore();
-    ASSERT_EQ(*proc.store()->latest(), tampered);
+    ASSERT_EQ(latestOf(*proc.store()), tampered);
     std::string failure;
     EXPECT_NO_THROW(failure = proc.restart(proc.store()->latestMeta()));
     EXPECT_NE(failure.find("recovered payload does not deserialize"), std::string::npos)

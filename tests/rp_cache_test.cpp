@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "consent/authority.hpp"
+#include "crypto/sha256_backend.hpp"
 #include "rp/relying_party.hpp"
+#include "rpki/signing.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
 
@@ -60,6 +62,72 @@ TEST(RpCache, SerializedStateRestoresIdentically) {
     }
     // And re-serialization is byte-identical (canonical state).
     EXPECT_EQ(restored.serializeState(), blob);
+}
+
+/// Counts SHA-256 block compressions while alive (single-threaded tests
+/// only): a manifest verification costs hundreds of them.
+class CompressionCounter {
+public:
+    CompressionCounter() {
+        (void)sha256(std::string_view("resolve the backend before wrapping it"));
+        inner_ = sha256_backend::exchangeCompress(&counting);
+        count_ = 0;
+    }
+    ~CompressionCounter() { sha256_backend::exchangeCompress(inner_); }
+    static std::uint64_t count() { return count_; }
+
+private:
+    static void counting(std::uint32_t* state, const std::uint8_t* blocks, std::size_t n) {
+        count_ += n;
+        inner_(state, blocks, n);
+    }
+    static inline sha256_backend::CompressFn inner_ = nullptr;
+    static inline std::uint64_t count_ = 0;
+};
+
+TEST(RpCache, VerifyMemoIsNotPersisted) {
+    Fixture f;
+    RelyingParty alice("alice", {f.root->cert()}, RpOptions{.ts = 4, .tg = 8});
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    const Bytes blob = alice.serializeState();
+    RelyingParty restored = RelyingParty::deserializeState(ByteView(blob.data(), blob.size()));
+    // The memo is runtime state: the restored cache serializes to the
+    // same bytes although its memo is empty.
+    EXPECT_EQ(restored.serializeState(), blob);
+
+    // What verifying every manifest of the snapshot once costs.
+    const Snapshot snap = f.repo.snapshot();
+    std::uint64_t verifyCost = 0;
+    {
+        CompressionCounter counter;
+        for (const Authority* a : {f.root, f.org}) {
+            const Bytes& raw = *snap.file(a->pubPointUri(), kManifestName);
+            const Manifest m = Manifest::decode(ByteView(raw.data(), raw.size()));
+            ASSERT_TRUE(verifyObject(m, a->cert().subjectKey));
+        }
+        verifyCost = CompressionCounter::count();
+    }
+    ASSERT_GT(verifyCost, 0u);
+
+    // Alice remembers both verdicts; the restored relying party verifies
+    // both manifests on its first round.
+    std::uint64_t aliceCost = 0;
+    std::uint64_t restoredCost = 0;
+    {
+        CompressionCounter counter;
+        alice.sync(snap, f.clock.now());
+        aliceCost = CompressionCounter::count();
+    }
+    {
+        CompressionCounter counter;
+        restored.sync(snap, f.clock.now());
+        restoredCost = CompressionCounter::count();
+    }
+    EXPECT_LT(aliceCost, verifyCost);
+    EXPECT_GE(restoredCost, aliceCost + verifyCost);
+    EXPECT_EQ(restored.alarms().count(), 0u);
+    EXPECT_EQ(restored.serializeState(), alice.serializeState());
+    EXPECT_EQ(restored.roaState(), alice.roaState());
 }
 
 TEST(RpCache, TransitionDetectionSurvivesRestart) {

@@ -235,5 +235,74 @@ TEST(RpEdge, TwoRelyingPartiesIndependentCaches) {
     EXPECT_EQ(alice.validRoas().size(), 1u);
 }
 
+// ---------------------------------------------------------------------------
+// Verify memo: a manifest verified once is not verified again while its
+// bytes and its issuer's key stay the same — and only then.
+
+bool raisedSignatureAlarm(const RelyingParty& rp, const std::string& pointUri) {
+    for (const auto& a : rp.alarms().ofType(AlarmType::MissingInformation)) {
+        if (a.victim == pointUri + kManifestName &&
+            a.detail == "manifest signature does not verify") {
+            return true;
+        }
+    }
+    return false;
+}
+
+TEST(RpEdge, FlippedSignatureByteFailsAfterTheGoodManifestVerified) {
+    Fixture f;
+    f.org->issueRoa("r", 64500, {{pfx("10.1.0.0/20"), 24}}, f.repo, f.clock.now());
+    RelyingParty alice = f.rp("alice");
+    alice.sync(f.repo.snapshot(), f.clock.now());  // the good manifest verifies
+    alice.sync(f.repo.snapshot(), f.clock.now());  // ... and is remembered
+    ASSERT_EQ(alice.alarms().count(), 0u);
+
+    // Same number, same body, one signature byte flipped (the signature
+    // is the manifest's last field, so the file still decodes).
+    Snapshot forged = f.repo.snapshot();
+    Bytes& mft = forged.points.at(f.org->pubPointUri()).at(kManifestName);
+    mft.back() ^= 0x01;
+    alice.sync(forged, f.clock.now());
+    EXPECT_TRUE(raisedSignatureAlarm(alice, f.org->pubPointUri()));
+    EXPECT_TRUE(alice.isPointStale(f.org->pubPointUri()));
+
+    // The genuine bytes still verify afterwards.
+    const std::size_t before = alice.alarms().count();
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    EXPECT_EQ(alice.alarms().count(), before);
+    EXPECT_FALSE(alice.isPointStale(f.org->pubPointUri()));
+}
+
+TEST(RpEdge, IdenticalManifestUnderAChangedIssuerKeyIsVerifiedAgain) {
+    Fixture f;
+    f.org->issueRoa("r", 64500, {{pfx("10.1.0.0/20"), 24}}, f.repo, f.clock.now());
+    RelyingParty alice = f.rp("alice");
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    ASSERT_EQ(alice.alarms().count(), 0u);
+
+    // The root swaps org's RC for one with another key (same URI, same
+    // point, a fresh serial); org's manifest bytes do not change, but they
+    // were signed under the old key and must not verify under the new one.
+    const Bytes orgRc = f.org->cert().encode();
+    std::string rcFile;
+    const Snapshot before = f.repo.snapshot();
+    for (const auto& [name, bytes] : *before.point(f.root->pubPointUri())) {
+        if (bytes == orgRc) rcFile = name;
+    }
+    ASSERT_FALSE(rcFile.empty());
+    ResourceCert rekeyed = f.org->cert();
+    rekeyed.subjectKey.root.bytes[0] ^= 0x01;
+    rekeyed.serial = 1000000;
+    f.clock.advance(1);
+    const Bytes orgManifest = *before.file(f.org->pubPointUri(), kManifestName);
+    f.root->unsafeReintroduceFile(rcFile, rekeyed.encode(), f.repo, f.clock.now());
+    ASSERT_EQ(*f.repo.snapshot().file(f.org->pubPointUri(), kManifestName), orgManifest);
+
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    ASSERT_EQ(alice.findRc(f.org->cert().uri)->cert.subjectKey, rekeyed.subjectKey);
+    EXPECT_TRUE(raisedSignatureAlarm(alice, f.org->pubPointUri()));
+    EXPECT_TRUE(alice.isPointStale(f.org->pubPointUri()));
+}
+
 }  // namespace
 }  // namespace rpkic

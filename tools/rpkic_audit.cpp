@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
             alice->sync(snap, day);
             std::printf("[%lld] %-30s %zu points, %zu valid ROAs\n",
                         static_cast<long long>(day), snapDirs[i].c_str(), snap.points.size(),
-                        alice->validRoas().size());
+                        alice->validRoaCount());
             for (; reported < alice->alarms().count(); ++reported) {
                 std::printf("    ALARM %s\n", alice->alarms().all()[reported].str().c_str());
             }
