@@ -159,7 +159,9 @@ Trace generateTrace(const TraceConfig& config) {
             // Occasional whacking of a single multi-prefix ROA (the paper:
             // "most of the incidents in Figure 5 correspond to the whacking
             // of a single ROA containing multiple prefixes"). LACNIC is
-            // left alone so the calibrated Dec-20 dip stays exact.
+            // left alone, so LACNIC's calibrated Dec-20 dip stays exact;
+            // the day as a whole may not be, since for some seeds (14 and
+            // 17, for example) a whack elsewhere also lands on Dec 20.
             if (rng.nextBool(0.22) && objects.size() > 10) {
                 // LACNIC objects are pinned to the calibrated Dec-20 dip and
                 // the case-study ROAs to their scripted dates.

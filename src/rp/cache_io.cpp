@@ -233,6 +233,7 @@ RelyingParty RelyingParty::deserializeState(ByteView data, bool allowLegacy,
             pc.files.emplace(filename, d.bytes());
         }
         pc.stale = d.boolean();
+        indexFiles(pc);
         rp.points_.emplace(uri, std::move(pc));
     }
 

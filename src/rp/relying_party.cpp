@@ -24,6 +24,26 @@ bool isType(const Bytes& b, ObjectType t) {
     }
 }
 
+/// Hands every decodable RC and ROA among `files` to `onRc` / `onRoa`, in
+/// filename order. Undecodable objects are skipped: they were alarmed when
+/// their point was processed.
+template <typename OnRc, typename OnRoa>
+void decodeObjects(const std::map<std::string, Bytes>& files, OnRc&& onRc, OnRoa&& onRoa) {
+    for (const auto& [filename, bytes] : files) {
+        if (isType(bytes, ObjectType::Roa)) {
+            try {
+                onRoa(Roa::decode(ByteView(bytes.data(), bytes.size())));
+            } catch (const ParseError&) {
+            }
+        } else if (isType(bytes, ObjectType::ResourceCert)) {
+            try {
+                onRc(ResourceCert::decode(ByteView(bytes.data(), bytes.size())));
+            } catch (const ParseError&) {
+            }
+        }
+    }
+}
+
 }  // namespace
 
 std::string_view toString(RcStatus s) {
@@ -130,19 +150,12 @@ void RelyingParty::sync(const Snapshot& snap, Time now) {
 
         const auto pcIt = points_.find(pointUri);
         if (pcIt == points_.end() || !pcIt->second.have) continue;
-        for (const auto& [fname, bytes] : pcIt->second.files) {
-            if (!isType(bytes, ObjectType::ResourceCert)) continue;
-            ResourceCert cert;
-            try {
-                cert = ResourceCert::decode(ByteView(bytes.data(), bytes.size()));
-            } catch (const ParseError&) {
-                continue;  // alarmed during transition processing
-            }
-            const RcRecord* rec = findRc(cert.uri);
+        for (const RcView& rc : pcIt->second.rcs) {
+            const RcRecord* rec = findRc(rc.uri);
             if (rec == nullptr || rec->status != RcStatus::Valid) continue;
-            if (cert.pubPointUri.empty()) continue;
-            if (enqueued.insert(cert.pubPointUri).second) {
-                queue.push_back({cert.pubPointUri, cert.uri});
+            if (rc.pubPointUri.empty()) continue;
+            if (enqueued.insert(rc.pubPointUri).second) {
+                queue.push_back({rc.pubPointUri, rc.uri});
             }
         }
     }
@@ -152,6 +165,29 @@ void RelyingParty::sync(const Snapshot& snap, Time now) {
         hashWindow_.pop_front();
     }
     refreshOutputs();
+}
+
+void RelyingParty::indexFiles(PointCache& pc) {
+    pc.rcs.clear();
+    pc.roas.clear();
+    decodeObjects(
+        pc.files,
+        [&](ResourceCert&& cert) {
+            pc.rcs.push_back({std::move(cert.uri), std::move(cert.pubPointUri)});
+        },
+        [&](Roa&& roa) {
+            pc.roas.push_back({std::move(roa.parentUri), roa.asn, std::move(roa.prefixes)});
+        });
+}
+
+std::optional<RelyingParty::AcceptedPoint> RelyingParty::acceptedPoint(
+    const std::string& pointUri) const {
+    const auto it = points_.find(pointUri);
+    if (it == points_.end() || !it->second.have) return std::nullopt;
+    const PointCache& pc = it->second;
+    if (pc.manifest.tag == ManifestTag::PostRollover) return std::nullopt;
+    return AcceptedPoint{pc.manifest, pc.headIsVerified ? &pc.verifiedManifest : nullptr,
+                         pc.files};
 }
 
 void RelyingParty::markPointStale(PointCache& pc, const std::string& pointUri, Time now) {
@@ -177,16 +213,24 @@ void RelyingParty::processPoint(const std::string& pointUri, const std::string& 
         markPointStale(pc, pointUri, now);
         return;
     }
-    Manifest m;
-    try {
-        m = Manifest::decode(ByteView(mftBytes->data(), mftBytes->size()));
-    } catch (const ParseError& e) {
-        // Indistinguishable from transfer corruption: unaccountable.
-        alarms_.raise({AlarmType::MissingInformation, pointUri + kManifestName, "", false,
-                       std::string("manifest undecodable: ") + e.what(), now});
-        markPointStale(pc, pointUri, now);
-        return;
+    // The bytes the head manifest was decoded from decode to the head
+    // itself: reuse it. `m` then aliases pc.manifest, which nothing below
+    // assigns before the unchanged-point return (same number, same body).
+    const bool memoBytes = pc.verifiedManifest == *mftBytes;
+    const bool isHead = memoBytes && pc.headIsVerified;
+    Manifest decoded;
+    if (!isHead) {
+        try {
+            decoded = Manifest::decode(ByteView(mftBytes->data(), mftBytes->size()));
+        } catch (const ParseError& e) {
+            // Indistinguishable from transfer corruption: unaccountable.
+            alarms_.raise({AlarmType::MissingInformation, pointUri + kManifestName, "", false,
+                           std::string("manifest undecodable: ") + e.what(), now});
+            markPointStale(pc, pointUri, now);
+            return;
+        }
     }
+    const Manifest& m = isHead ? pc.manifest : decoded;
     const RcRecord* issuer = findRc(m.issuerRcUri);
     if (issuer == nullptr || issuer->cert.pubPointUri != pointUri ||
         (issuer->status != RcStatus::Valid && issuer->status != RcStatus::RolledOver)) {
@@ -197,8 +241,7 @@ void RelyingParty::processPoint(const std::string& pointUri, const std::string& 
     }
     // Byte-identical manifest under the same key: the memo's verdict is the
     // verdict verifyObject would return. Every check below still runs.
-    const bool memoHit =
-        pc.verifiedManifest == *mftBytes && pc.verifiedUnder == issuer->cert.subjectKey;
+    const bool memoHit = memoBytes && pc.verifiedUnder == issuer->cert.subjectKey;
     if (!memoHit) {
         if (!verifyObject(m, issuer->cert.subjectKey)) {
             alarms_.raise({AlarmType::MissingInformation, pointUri + kManifestName, "", false,
@@ -206,7 +249,10 @@ void RelyingParty::processPoint(const std::string& pointUri, const std::string& 
             markPointStale(pc, pointUri, now);
             return;
         }
-        pc.verifiedManifest = *mftBytes;
+        if (!memoBytes) {
+            pc.verifiedManifest = *mftBytes;
+            pc.headIsVerified = false;  // until `m` becomes the head below
+        }
         pc.verifiedUnder = issuer->cert.subjectKey;
     }
     if (m.nextUpdate <= now) {
@@ -220,11 +266,12 @@ void RelyingParty::processPoint(const std::string& pointUri, const std::string& 
 
     if (!pc.have) {
         initialPointSync(pc, pointUri, m, snap, now);
+        pc.headIsVerified = true;
         return;
     }
 
     if (m.number == pc.manifest.number) {
-        if (m.bodyHash() == pc.manifest.bodyHash()) {
+        if (isHead || m.bodyHash() == pc.manifest.bodyHash()) {
             pc.stale = false;
             return;
         }
@@ -244,6 +291,7 @@ void RelyingParty::processPoint(const std::string& pointUri, const std::string& 
         // hide inside intermediate states become invisible.
         processTransition(pc, pointUri, pc.manifest, m, snap, now);
         hashWindow_.push_back({now, pointUri, m.number, m.bodyHash()});
+        pc.headIsVerified = true;
         return;
     }
 
@@ -289,6 +337,7 @@ void RelyingParty::processPoint(const std::string& pointUri, const std::string& 
         processTransition(pc, pointUri, chain[i - 1], chain[i], snap, now);
         hashWindow_.push_back({now, pointUri, chain[i].number, chain[i].bodyHash()});
     }
+    pc.headIsVerified = true;  // every transition ends with pc.manifest = its `cur`
 }
 
 std::map<std::string, Bytes> RelyingParty::resolveFiles(const PointCache& pc,
@@ -338,6 +387,7 @@ void RelyingParty::initialPointSync(PointCache& pc, const std::string& pointUri,
                                     const Manifest& m, const Snapshot& snap, Time now) {
     bool complete = true;
     pc.files = resolveFiles(pc, pointUri, m, snap, now, &complete);
+    indexFiles(pc);
     pc.manifest = m;
     pc.have = true;
     pc.stale = !complete;
@@ -589,6 +639,7 @@ void RelyingParty::processTransition(PointCache& pc, const std::string& pointUri
 
     pc.manifest = cur;
     pc.files = std::move(curFiles);
+    indexFiles(pc);
     pc.stale = !complete;
 }
 
@@ -957,9 +1008,11 @@ std::optional<ResourceSet> RelyingParty::effectiveResourcesOf(const std::string&
 // ===========================================================================
 // Validity outputs
 
-template <typename Emit>
-void RelyingParty::forEachValidRoa(Emit&& emit) const {
-    // Walk from trust anchors through Valid RCs only.
+template <typename ObjectsOf, typename Emit>
+void RelyingParty::forEachValidRoa(ObjectsOf&& objectsOf, Emit&& emit) const {
+    // Walk from trust anchors through Valid RCs only. Each RC's status,
+    // parent and effective resources are read live, so the walk needs no
+    // invalidation when an ancestor's status or resources change.
     std::deque<const RcRecord*> queue;
     for (const auto& ta : trustAnchors_) {
         const RcRecord* rec = findRc(ta.uri);
@@ -973,52 +1026,53 @@ void RelyingParty::forEachValidRoa(Emit&& emit) const {
         if (pcIt == points_.end() || !pcIt->second.have) continue;
         if (!visitedPoints.insert(rec->cert.pubPointUri).second) continue;
         const auto eff = effectiveResourcesOf(rec->cert.uri);
-        for (const auto& [filename, bytes] : pcIt->second.files) {
-            if (isType(bytes, ObjectType::Roa)) {
-                try {
-                    Roa roa = Roa::decode(ByteView(bytes.data(), bytes.size()));
-                    if (roa.parentUri != rec->cert.uri) continue;
-                    bool covered = eff.has_value();
-                    if (covered) {
-                        for (const auto& rp : roa.prefixes) {
-                            if (!eff->containsPrefix(rp.prefix)) covered = false;
-                        }
-                    }
-                    if (covered) emit(std::move(roa));
-                } catch (const ParseError&) {
+        objectsOf(
+            pcIt->second,
+            [&](const auto& rc) {
+                const RcRecord* childRec = findRc(rc.uri);
+                if (childRec != nullptr && childRec->status == RcStatus::Valid) {
+                    queue.push_back(childRec);
                 }
-            } else if (isType(bytes, ObjectType::ResourceCert)) {
-                try {
-                    const ResourceCert c =
-                        ResourceCert::decode(ByteView(bytes.data(), bytes.size()));
-                    const RcRecord* childRec = findRc(c.uri);
-                    if (childRec != nullptr && childRec->status == RcStatus::Valid) {
-                        queue.push_back(childRec);
+            },
+            [&](auto&& roa) {
+                if (roa.parentUri != rec->cert.uri) return;
+                bool covered = eff.has_value();
+                if (covered) {
+                    for (const auto& rp : roa.prefixes) {
+                        if (!eff->containsPrefix(rp.prefix)) covered = false;
                     }
-                } catch (const ParseError&) {
                 }
-            }
-        }
+                if (covered) emit(std::forward<decltype(roa)>(roa));
+            });
     }
 }
 
 std::vector<Roa> RelyingParty::validRoas() const {
+    // Decoded from the files, not read from the views: a fresh derivation
+    // the cached outputs are checked against (sim::RpProcess).
     std::vector<Roa> out;
-    forEachValidRoa([&](Roa&& roa) { out.push_back(std::move(roa)); });
+    forEachValidRoa(
+        [](const PointCache& pc, auto&& onRc, auto&& onRoa) {
+            decodeObjects(pc.files, onRc, onRoa);
+        },
+        [&](Roa&& roa) { out.push_back(std::move(roa)); });
     return out;
 }
 
 void RelyingParty::refreshOutputs() {
-    // Tuples straight from each ROA as it is decoded: no decoded ROA (each
-    // carries a ~2.3 KB signature) outlives its iteration.
     std::vector<RoaTuple> tuples;
     std::size_t count = 0;
-    forEachValidRoa([&](Roa&& roa) {
-        ++count;
-        for (const auto& rp : roa.prefixes) {
-            tuples.push_back(RoaTuple{rp.prefix, rp.maxLength, roa.asn});
-        }
-    });
+    forEachValidRoa(
+        [](const PointCache& pc, auto&& onRc, auto&& onRoa) {
+            for (const RcView& rc : pc.rcs) onRc(rc);
+            for (const RoaView& roa : pc.roas) onRoa(roa);
+        },
+        [&](const RoaView& roa) {
+            ++count;
+            for (const auto& rp : roa.prefixes) {
+                tuples.push_back(RoaTuple{rp.prefix, rp.maxLength, roa.asn});
+            }
+        });
     roaState_ = RpkiState(std::move(tuples));
     validRoaCount_ = count;
 }

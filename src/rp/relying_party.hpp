@@ -135,6 +135,22 @@ public:
 
     const std::string& name() const { return name_; }
 
+    // --- what a fetcher may skip re-checking ----------------------------------
+    /// The state this relying party accepted at one point. Each of `files`
+    /// was admitted because its bytes hash to what `manifest` logs for it,
+    /// so bytes equal to one of them hash to the same logged value.
+    /// `manifestBytes` are the bytes `manifest` was decoded from, or nullptr
+    /// when they are not at hand.
+    struct AcceptedPoint {
+        const Manifest& manifest;
+        const Bytes* manifestBytes;
+        const std::map<std::string, Bytes>& files;
+    };
+    /// nullopt when the point has no accepted state, or when its head is a
+    /// post-rollover manifest (its files were admitted under an earlier
+    /// one). Valid until the next sync() or restore.
+    std::optional<AcceptedPoint> acceptedPoint(const std::string& pointUri) const;
+
     // --- persistence ---------------------------------------------------------
     /// Serializes the complete relying-party state — point caches, RC
     /// records, alarm log, consent registry, hash window — so a tool can
@@ -154,6 +170,19 @@ public:
                                          obs::Registry* registry = nullptr);
 
 private:
+    /// What the walks need of a cached RC file: its URI (to look up its
+    /// record's live status) and the point it names.
+    struct RcView {
+        std::string uri;
+        std::string pubPointUri;
+    };
+    /// What the walks need of a cached ROA file.
+    struct RoaView {
+        std::string parentUri;
+        Asn asn = 0;
+        std::vector<RoaPrefix> prefixes;
+    };
+
     struct PointCache {
         bool have = false;
         Manifest manifest;                 // head of the processed chain
@@ -166,6 +195,14 @@ private:
         // relying party verifies every manifest on its first round.
         Bytes verifiedManifest;
         PublicKey verifiedUnder;
+        // True while `manifest` is the decode of `verifiedManifest`, so a
+        // fetch of those same bytes needs no second decode. Runtime-only.
+        bool headIsVerified = false;
+        // Decoded view of `files` (runtime-only): what the walks read
+        // instead of decoding every RC and ROA each round. indexFiles()
+        // rebuilds it wherever `files` is assigned.
+        std::vector<RcView> rcs;
+        std::vector<RoaView> roas;
     };
 
     struct ObtainedHash {
@@ -188,6 +225,8 @@ private:
                                               const Manifest& m, const Snapshot& snap, Time now,
                                               bool* complete);
     void markPointStale(PointCache& pc, const std::string& pointUri, Time now);
+    /// Rebuilds the decoded view of `pc.files`.
+    static void indexFiles(PointCache& pc);
 
     // -- Table 10 procedures (Appendix B.2.4) --
     struct TransitionContext {
@@ -226,10 +265,11 @@ private:
 
     /// Walks from the trust anchors through Valid RCs and hands every
     /// valid ROA to `emit` (the one definition behind validRoas() and the
-    /// cached outputs).
-    template <typename Emit>
-    void forEachValidRoa(Emit&& emit) const;
-    /// Re-derives roaState_ and validRoaCount_ from the cache.
+    /// cached outputs). `objectsOf(pc, onRc, onRoa)` reads a point's RCs
+    /// and ROAs: decoded from its files, or from its decoded view.
+    template <typename ObjectsOf, typename Emit>
+    void forEachValidRoa(ObjectsOf&& objectsOf, Emit&& emit) const;
+    /// Re-derives roaState_ and validRoaCount_ from the decoded views.
     void refreshOutputs();
     /// Capacity for serializeState()'s buffer (an estimate with slack).
     std::size_t serializedSizeHint() const;

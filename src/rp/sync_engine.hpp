@@ -215,7 +215,7 @@ private:
 
     /// Validates a fetched FileMap before it may reach the relying party.
     /// On Ok, `*manifestNumber` is the number of the probed manifest.
-    FetchOutcome probe(const PointState& ps, const FileMap& files,
+    FetchOutcome probe(const PointState& ps, const std::string& pointUri, const FileMap& files,
                        std::uint64_t* manifestNumber) const;
 
     PointState& stateFor(const std::string& pointUri);

@@ -54,6 +54,9 @@ public:
     const FileMap* point(const std::string& pointUri) const;
     const Bytes* file(const std::string& pointUri, const std::string& filename) const;
 
+    /// Every point, by URI, without copying a byte: for callers that
+    /// only read (listing points, scheduling faults).
+    const std::map<std::string, FileMap>& points() const { return points_; }
     Snapshot snapshot() const { return Snapshot{points_}; }
 
 private:

@@ -189,8 +189,9 @@ TEST_P(FuzzStateBlob, MutatedCacheLoadsFullyOrThrows) {
                 rp::RelyingParty::deserializeState(ByteView(wire.data(), wire.size()));
             // Whatever decoded must be a *complete* state: exercising it
             // must not throw, and it must re-serialize canonically.
-            (void)restored.validRoas();
-            (void)restored.roaState();
+            // The outputs derived from its decoded views equal a walk
+            // that decodes every file afresh.
+            EXPECT_EQ(restored.roaState(), RpkiState::fromRoas(restored.validRoas()));
             (void)restored.exportManifestClaims();
             const Bytes again = restored.serializeState();
             EXPECT_EQ(again, restored.serializeState());

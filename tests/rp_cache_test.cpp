@@ -7,6 +7,8 @@
 #include "consent/authority.hpp"
 #include "crypto/sha256_backend.hpp"
 #include "rp/relying_party.hpp"
+#include "rp/sync_engine.hpp"
+#include "rpki/chaos.hpp"
 #include "rpki/signing.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
@@ -128,6 +130,61 @@ TEST(RpCache, VerifyMemoIsNotPersisted) {
     EXPECT_EQ(restored.alarms().count(), 0u);
     EXPECT_EQ(restored.serializeState(), alice.serializeState());
     EXPECT_EQ(restored.roaState(), alice.roaState());
+}
+
+TEST(RpCache, AnUnchangedRoundHashesNoLoggedFileBytes) {
+    Fixture f;
+    for (int i = 0; i < 3; ++i) {
+        const std::string name = "isp" + std::to_string(i);
+        const IpPrefix space = pfx(("10.1." + std::to_string(16 * i) + ".0/20").c_str());
+        Authority& isp = f.dir.createChild(*f.org, name, ResourceSet::ofPrefixes({space}),
+                                           f.repo, f.clock.now());
+        isp.issueRoa("a", static_cast<Asn>(64510 + i), {{space, 24}}, f.repo, f.clock.now());
+    }
+    RepositorySource source(f.repo);
+    obs::Registry registry;
+    RelyingParty alice("alice", {f.root->cert()}, RpOptions{.ts = 4, .tg = 8}, &registry);
+    rp::SyncEngine engine(alice, source, rp::SyncPolicy{}, &registry);
+    engine.syncRound(f.clock.now());
+    ASSERT_EQ(alice.validRoaCount(), 4u);
+    const Snapshot snap = f.repo.snapshot();
+    ASSERT_EQ(snap.points.size(), 5u);
+    // Hashing the snapshot's files once would take at least this many.
+    ASSERT_GT(snap.totalBytes() / 64, 500u);
+
+    // The same snapshot again: every file equals a copy the relying party
+    // admitted under the hash its manifest still logs, and every manifest
+    // equals the verified head. Nothing is hashed, verified or re-encoded.
+    std::uint64_t unchanged = 0;
+    {
+        CompressionCounter counter;
+        engine.syncRound(f.clock.now());
+        unchanged = CompressionCounter::count();
+    }
+    EXPECT_EQ(unchanged, 0u);
+
+    // One point changes: the round pays for that point (its manifest's
+    // signature check and its own files), which stays below a signature
+    // check plus one hash of every file of the snapshot.
+    f.clock.advance(1);
+    f.org->refreshManifest(f.repo, f.clock.now());
+    std::uint64_t oneChanged = 0;
+    {
+        CompressionCounter counter;
+        engine.syncRound(f.clock.now());
+        oneChanged = CompressionCounter::count();
+    }
+    std::uint64_t verifyCost = 0;
+    {
+        const Bytes& raw = *f.repo.file(f.org->pubPointUri(), kManifestName);
+        const Manifest m = Manifest::decode(ByteView(raw.data(), raw.size()));
+        CompressionCounter counter;
+        ASSERT_TRUE(verifyObject(m, f.org->cert().subjectKey));
+        verifyCost = CompressionCounter::count();
+    }
+    EXPECT_GT(oneChanged, verifyCost);
+    EXPECT_LT(oneChanged, verifyCost + snap.totalBytes() / 64);
+    EXPECT_EQ(alice.alarms().count(), 0u);
 }
 
 TEST(RpCache, TransitionDetectionSurvivesRestart) {

@@ -165,6 +165,29 @@ TEST(RpEdge, DesyncBeyondPreservationWindowGoesStaleNotWrong) {
     EXPECT_EQ(alice.validRoas().size(), 1u);
 }
 
+TEST(RpEdge, AHeadThatVerifiedButCouldNotBeAppliedStaysStaleWhenServedAgain) {
+    // The new head verifies, but the chain to it cannot be rebuilt. Served
+    // again byte for byte, it must not pass for the head Alice holds.
+    Fixture f;
+    f.org->issueRoa("r", 64500, {{pfx("10.1.0.0/20"), 24}}, f.repo, f.clock.now());
+    RelyingParty alice = f.rp("alice");
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    for (int i = 0; i < 6; ++i) {
+        f.clock.advance(2);
+        f.org->issueRoa("r" + std::to_string(i), static_cast<Asn>(64501 + i),
+                        {{pfx("10.1.16.0/20"), 24}}, f.repo, f.clock.now());
+    }
+    const Snapshot gap = f.repo.snapshot();
+    alice.sync(gap, f.clock.now());
+    ASSERT_TRUE(alice.isPointStale(f.org->pubPointUri()));
+    const std::size_t alarmsBefore = alice.alarms().count();
+
+    alice.sync(gap, f.clock.now());
+    EXPECT_TRUE(alice.isPointStale(f.org->pubPointUri()));
+    EXPECT_GT(alice.alarms().count(), alarmsBefore);
+    EXPECT_EQ(alice.validRoas().size(), 1u);
+}
+
 TEST(RpEdge, RoaOutsideIssuerSpaceAlarmsChildTooBroad) {
     Fixture f;
     RelyingParty alice = f.rp("alice");
@@ -302,6 +325,117 @@ TEST(RpEdge, IdenticalManifestUnderAChangedIssuerKeyIsVerifiedAgain) {
     ASSERT_EQ(alice.findRc(f.org->cert().uri)->cert.subjectKey, rekeyed.subjectKey);
     EXPECT_TRUE(raisedSignatureAlarm(alice, f.org->pubPointUri()));
     EXPECT_TRUE(alice.isPointStale(f.org->pubPointUri()));
+}
+
+// ---------------------------------------------------------------------------
+// The decoded view behind roaState(): each point's RCs and ROAs, decoded
+// once when the point's files change. Statuses, parents and coverage are
+// read live, so these hold without any invalidation of the view.
+
+void expectOutputsFresh(const RelyingParty& rp, const std::string& where) {
+    const std::vector<Roa> fresh = rp.validRoas();
+    EXPECT_EQ(rp.roaState(), RpkiState::fromRoas(fresh)) << where;
+    EXPECT_EQ(rp.validRoaCount(), fresh.size()) << where;
+}
+
+RoaTuple tuple(const char* prefix, std::uint8_t maxLength, Asn asn) {
+    return RoaTuple{pfx(prefix), maxLength, asn};
+}
+
+TEST(RpView, NarrowingOrRevokingAnAncestorDropsDescendantRoasTheSameRound) {
+    Fixture f;
+    Authority& isp = f.dir.createChild(*f.org, "isp", ResourceSet::ofPrefixes({pfx("10.1.0.0/20")}),
+                                       f.repo, f.clock.now());
+    isp.issueRoa("i", 64501, {{pfx("10.1.0.0/22"), 24}}, f.repo, f.clock.now());
+    f.org->issueRoa("o", 64500, {{pfx("10.1.128.0/20"), 24}}, f.repo, f.clock.now());
+    RelyingParty alice = f.rp("alice");
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    ASSERT_EQ(alice.roaState(), RpkiState({tuple("10.1.0.0/22", 24, 64501),
+                                           tuple("10.1.128.0/20", 24, 64500)}));
+
+    // The root narrows org out of isp's space: isp's point does not change,
+    // yet its ROA goes this round (reevaluateSubtree).
+    f.clock.advance(1);
+    f.root->unsafeUnilateralNarrowChild("org", ResourceSet::ofPrefixes({pfx("10.1.0.0/20")}),
+                                        f.repo, f.clock.now());
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    EXPECT_NE(alice.findRc(isp.cert().uri)->status, RcStatus::Valid);
+    EXPECT_EQ(alice.roaState(), RpkiState({tuple("10.1.128.0/20", 24, 64500)}));
+    expectOutputsFresh(alice, "narrowed");
+
+    // Then revokes org outright: everything below it goes
+    // (markSubtreeNoLongerValid).
+    f.clock.advance(1);
+    f.root->unsafeUnilateralRevokeChild("org", f.repo, f.clock.now());
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    EXPECT_EQ(alice.roaState(), RpkiState());
+    expectOutputsFresh(alice, "revoked");
+}
+
+TEST(RpView, ARoaReplacedUnderItsFilenameYieldsTheNewTuples) {
+    Fixture f;
+    f.org->issueRoa("r", 64500, {{pfx("10.1.0.0/20"), 24}}, f.repo, f.clock.now());
+    RelyingParty alice = f.rp("alice");
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    ASSERT_EQ(alice.roaState(), RpkiState({tuple("10.1.0.0/20", 24, 64500)}));
+
+    f.clock.advance(1);
+    f.org->issueRoa("r", 64509, {{pfx("10.1.16.0/20"), 20}}, f.repo, f.clock.now());
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    EXPECT_EQ(alice.roaState(), RpkiState({tuple("10.1.16.0/20", 20, 64509)}));
+    expectOutputsFresh(alice, "replaced");
+    EXPECT_EQ(alice.alarms().count(), 0u);
+}
+
+TEST(RpView, AnUndecodableObjectUnderItsLoggedHashIsSkippedLikeAFreshWalk) {
+    Fixture f;
+    f.org->issueRoa("r", 64500, {{pfx("10.1.0.0/20"), 24}}, f.repo, f.clock.now());
+    RelyingParty alice = f.rp("alice");
+    alice.sync(f.repo.snapshot(), f.clock.now());
+
+    // A ROA and an RC cut short: each keeps its type byte, so it is taken
+    // for its kind, and fails to decode. The manifest logs both bytes.
+    const Bytes roa = *f.repo.file(f.org->pubPointUri(), "r.roa");
+    const Bytes rc = f.org->cert().encode();
+    f.clock.advance(1);
+    f.org->unsafeReintroduceFile("cut.roa", Bytes(roa.begin(), roa.begin() + 40), f.repo,
+                                 f.clock.now());
+    f.org->unsafeReintroduceFile("cut.cer", Bytes(rc.begin(), rc.begin() + 40), f.repo,
+                                 f.clock.now());
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    EXPECT_EQ(alice.alarms().ofType(AlarmType::InvalidSyntax).size(), 2u);
+    EXPECT_FALSE(alice.isPointStale(f.org->pubPointUri()));
+    EXPECT_EQ(alice.roaState(), RpkiState({tuple("10.1.0.0/20", 24, 64500)}));
+    expectOutputsFresh(alice, "undecodable objects logged");
+}
+
+TEST(RpView, ARestoredRelyingPartyRebuildsItsView) {
+    Fixture f;
+    Authority& isp = f.dir.createChild(*f.org, "isp", ResourceSet::ofPrefixes({pfx("10.1.0.0/20")}),
+                                       f.repo, f.clock.now());
+    isp.issueRoa("i", 64501, {{pfx("10.1.0.0/22"), 24}}, f.repo, f.clock.now());
+    f.org->issueRoa("o", 64500, {{pfx("10.1.128.0/20"), 24}}, f.repo, f.clock.now());
+    RelyingParty alice = f.rp("alice");
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    ASSERT_EQ(alice.validRoaCount(), 2u);
+
+    const Bytes blob = alice.serializeState();
+    RelyingParty restored = RelyingParty::deserializeState(ByteView(blob.data(), blob.size()));
+    EXPECT_EQ(restored.roaState(), alice.roaState());
+    expectOutputsFresh(restored, "restored");
+
+    // The restored views feed the next rounds: an unchanged one, then a
+    // ROA replaced two levels down.
+    restored.sync(f.repo.snapshot(), f.clock.now());
+    EXPECT_EQ(restored.roaState(), alice.roaState());
+    f.clock.advance(1);
+    isp.issueRoa("i", 64502, {{pfx("10.1.4.0/22"), 22}}, f.repo, f.clock.now());
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    restored.sync(f.repo.snapshot(), f.clock.now());
+    EXPECT_EQ(restored.roaState(), RpkiState({tuple("10.1.4.0/22", 22, 64502),
+                                              tuple("10.1.128.0/20", 24, 64500)}));
+    EXPECT_EQ(restored.roaState(), alice.roaState());
+    expectOutputsFresh(restored, "restored, then synced");
 }
 
 }  // namespace
